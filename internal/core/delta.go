@@ -294,10 +294,11 @@ func (s *solutionStore) summary() (elements, bytes int64, steps []DeltaStep) {
 	return int64(s.idx.Len()), s.bytes, s.steps
 }
 
-// deltaSummary aggregates all state partitions of the runtime: totals over
-// every step, final solution-set size, and the per-step series merged
-// across instances (sums per position; DurNS is the slowest instance).
-func (rt *runtime) deltaSummary() (in, changed, touched, elements, bytes int64, steps []DeltaStep) {
+// deltaSummary aggregates all state partitions of the runtime: it adds the
+// totals over every step and the final solution-set size into c, and
+// returns the per-step series merged across instances (sums per position;
+// DurNS is the slowest instance).
+func (rt *runtime) deltaSummary(c *Counters) []DeltaStep {
 	rt.stateMu.Lock()
 	stores := make([]*solutionStore, 0, len(rt.stateStores))
 	for _, s := range rt.stateStores {
@@ -307,12 +308,12 @@ func (rt *runtime) deltaSummary() (in, changed, touched, elements, bytes int64, 
 	byPos := make(map[int]*DeltaStep)
 	for _, s := range stores {
 		el, by, sts := s.summary()
-		elements += el
-		bytes += by
+		c.DeltaElements += el
+		c.DeltaBytes += by
 		for _, st := range sts {
-			in += st.In
-			changed += st.Changed
-			touched += st.Touched
+			c.DeltaIn += st.In
+			c.DeltaChanged += st.Changed
+			c.DeltaTouched += st.Touched
 			m := byPos[st.Pos]
 			if m == nil {
 				m = &DeltaStep{Pos: st.Pos}
@@ -328,12 +329,12 @@ func (rt *runtime) deltaSummary() (in, changed, touched, elements, bytes int64, 
 			}
 		}
 	}
-	steps = make([]DeltaStep, 0, len(byPos))
+	steps := make([]DeltaStep, 0, len(byPos))
 	for _, m := range byPos {
 		steps = append(steps, *m)
 	}
 	sort.Slice(steps, func(i, j int) bool { return steps[i].Pos < steps[j].Pos })
-	return in, changed, touched, elements, bytes, steps
+	return steps
 }
 
 // beginDeltaMerge prepares one step's run: candidate fold table, and — on

@@ -60,8 +60,8 @@ type Options struct {
 }
 
 // DefaultOptions enables every optimization: pipelining and hoisting as
-// Mitos runs in the paper, plus map-side combiners, operator chaining, and
-// execution templates.
+// Mitos runs in the paper, plus map-side combiners, operator chaining,
+// execution templates, and incremental delta-iteration state.
 func DefaultOptions() Options {
 	return Options{Pipelining: true, Hoisting: true, Combiners: true, Chaining: true, Templates: true, Delta: true}
 }
@@ -72,6 +72,32 @@ type Result struct {
 	Steps int
 	// Duration is the wall-clock execution time (excluding planning).
 	Duration time.Duration
+	// Counters are the runtime counters of the run, merged across
+	// machines by backends that run one partition per process.
+	Counters
+	// ChainedEdges counts plan edges fused by operator chaining;
+	// Job.ElementsChained counts the elements that crossed them by direct
+	// call.
+	ChainedEdges int
+	// TemplateInstalls and TemplateInstantiations count execution-template
+	// cache misses (segment resolved and recorded) and hits (segment
+	// re-broadcast by patching only the position). In a steady-state loop
+	// every iteration is an instantiation.
+	TemplateInstalls       int
+	TemplateInstantiations int
+	// DeltaSteps is the per-step delta series (aggregated across
+	// instances), showing the frontier shrinking. Only the simulated
+	// backend reports it; worker processes ship the totals in Counters.
+	DeltaSteps []DeltaStep
+}
+
+// Counters is the counter record one execution produces: operator-host
+// counters, delta-iteration totals, and the engine's transfer counters.
+// Every backend reports the same record; the TCP backend sums one per
+// worker with Merge.
+type Counters struct {
+	// Job reports engine transfer counters.
+	Job dataflow.JobStats
 	// JoinBuilds counts hash-table build phases executed by join operator
 	// instances. With hoisting, a loop-invariant build side is built once
 	// per instance instead of once per iteration step.
@@ -85,28 +111,29 @@ type Result struct {
 	// difference is the element traffic the shuffles were spared.
 	CombineIn  int64
 	CombineOut int64
-	// ChainedEdges counts plan edges fused by operator chaining;
-	// Job.ElementsChained counts the elements that crossed them by direct
-	// call.
-	ChainedEdges int
-	// TemplateInstalls and TemplateInstantiations count execution-template
-	// cache misses (segment resolved and recorded) and hits (segment
-	// re-broadcast by patching only the position). In a steady-state loop
-	// every iteration is an instantiation.
-	TemplateInstalls       int
-	TemplateInstantiations int
 	// Delta-iteration totals across all deltaMerge operators: delta
 	// elements received, changed pairs emitted, index operations, and the
-	// final solution-set size. DeltaSteps is the per-step series
-	// (aggregated across instances), showing the frontier shrinking.
+	// final solution-set size.
 	DeltaIn       int64
 	DeltaChanged  int64
 	DeltaTouched  int64
 	DeltaElements int64
 	DeltaBytes    int64
-	DeltaSteps    []DeltaStep
-	// Job reports engine transfer counters.
-	Job dataflow.JobStats
+}
+
+// Merge adds o into c: every counter sums, except MaxBufferedBags, which
+// is a high-water mark and takes the maximum.
+func (c *Counters) Merge(o Counters) {
+	c.Job.Add(o.Job)
+	c.JoinBuilds += o.JoinBuilds
+	c.MaxBufferedBags = max(c.MaxBufferedBags, o.MaxBufferedBags)
+	c.CombineIn += o.CombineIn
+	c.CombineOut += o.CombineOut
+	c.DeltaIn += o.DeltaIn
+	c.DeltaChanged += o.DeltaChanged
+	c.DeltaTouched += o.DeltaTouched
+	c.DeltaElements += o.DeltaElements
+	c.DeltaBytes += o.DeltaBytes
 }
 
 // runtime is the state shared by all operator hosts and the coordinator of
@@ -146,31 +173,35 @@ func (rt *runtime) noteBuffered(n int64) {
 	}
 }
 
+// counters reads the run's counter record: this runtime's host counters,
+// the delta totals of its solution stores, and job's engine counters. It
+// also returns the per-step delta series the totals were summed from.
+func (rt *runtime) counters(job *dataflow.Job) (Counters, []DeltaStep) {
+	c := Counters{
+		Job:             job.Stats(),
+		JoinBuilds:      rt.joinBuilds.Load(),
+		MaxBufferedBags: rt.maxBuffered.Load(),
+		CombineIn:       rt.combineIn.Load(),
+		CombineOut:      rt.combineOut.Load(),
+	}
+	steps := rt.deltaSummary(&c)
+	return c, steps
+}
+
 // Execute compiles the SSA graph into a single cyclic dataflow job, runs it
 // on the cluster against the dataset store, and coordinates the distributed
 // control flow.
 func Execute(g *ir.Graph, st store.Store, cl *cluster.Cluster, opts Options) (*Result, error) {
-	par := opts.Parallelism
-	if par == 0 {
-		par = cl.Machines()
-	}
-	plan, err := BuildPlan(g, par)
+	plan, err := PlanFor(g, opts, cl.Machines())
 	if err != nil {
 		return nil, err
-	}
-	if opts.Combiners {
-		plan.InsertCombiners()
-	}
-	if opts.Chaining {
-		plan.BuildChains()
 	}
 	return ExecutePlan(plan, st, cl, opts)
 }
 
-// ExecutePlan runs an already-built plan (Execute builds one from an SSA
-// graph). The plan's parallelism must match opts; plan rewrites
-// (InsertCombiners, BuildChains) are the caller's responsibility — Execute
-// applies them per opts before calling here.
+// ExecutePlan runs an already-built plan (Execute builds one with PlanFor).
+// The plan's parallelism must match opts; plan rewrites (InsertCombiners,
+// BuildChains) are the caller's responsibility.
 func ExecutePlan(plan *Plan, st store.Store, cl *cluster.Cluster, opts Options) (*Result, error) {
 	rt := &runtime{
 		plan:  plan,
@@ -187,8 +218,7 @@ func ExecutePlan(plan *Plan, st store.Store, cl *cluster.Cluster, opts Options) 
 		}
 	}
 
-	g, chainedEdges := buildDataflowGraph(rt, plan)
-	job, err := dataflow.NewJob(g, cl, opts.BatchSize)
+	job, err := dataflow.NewJob(buildDataflowGraph(rt, plan), cl, opts.BatchSize)
 	if err != nil {
 		return nil, err
 	}
@@ -220,31 +250,21 @@ func ExecutePlan(plan *Plan, st store.Store, cl *cluster.Cluster, opts Options) 
 	if err != nil {
 		return nil, fmt.Errorf("core: execution failed: %w", err)
 	}
-	din, dch, dto, del, dby, dsteps := rt.deltaSummary()
+	counters, deltaSteps := rt.counters(job)
 	return &Result{
 		Steps:                  cstats.Steps,
 		Duration:               time.Since(start),
-		JoinBuilds:             rt.joinBuilds.Load(),
-		MaxBufferedBags:        rt.maxBuffered.Load(),
-		CombineIn:              rt.combineIn.Load(),
-		CombineOut:             rt.combineOut.Load(),
-		ChainedEdges:           chainedEdges,
+		Counters:               counters,
+		ChainedEdges:           plan.ChainedEdges(),
 		TemplateInstalls:       cstats.TemplateInstalls,
 		TemplateInstantiations: cstats.TemplateInstantiations,
-		DeltaIn:                din,
-		DeltaChanged:           dch,
-		DeltaTouched:           dto,
-		DeltaElements:          del,
-		DeltaBytes:             dby,
-		DeltaSteps:             dsteps,
-		Job:                    job.Stats(),
+		DeltaSteps:             deltaSteps,
 	}, nil
 }
 
 // buildDataflowGraph translates the plan into a dataflow graph: one vertex
 // per SSA instruction, one edge per variable reference (paper Sec. 4.3).
-// It returns the graph and the number of chained edges.
-func buildDataflowGraph(rt *runtime, plan *Plan) (*dataflow.Graph, int) {
+func buildDataflowGraph(rt *runtime, plan *Plan) *dataflow.Graph {
 	var g dataflow.Graph
 	dfOps := make([]*dataflow.Op, len(plan.Ops))
 	for _, pop := range plan.Ops {
@@ -253,18 +273,16 @@ func buildDataflowGraph(rt *runtime, plan *Plan) (*dataflow.Graph, int) {
 			return newHost(rt, pop, inst)
 		})
 	}
-	chainedEdges := 0
 	for _, pop := range plan.Ops {
 		for slot, in := range pop.Inputs {
 			if in.Chained {
 				g.ConnectChained(dfOps[in.Producer.ID], dfOps[pop.ID], slot)
-				chainedEdges++
 			} else {
 				g.Connect(dfOps[in.Producer.ID], dfOps[pop.ID], slot, in.Part)
 			}
 		}
 	}
-	return &g, chainedEdges
+	return &g
 }
 
 // simControlPlane runs the control-flow manager against the simulated
@@ -327,8 +345,7 @@ func NewWorkerJob(plan *Plan, st store.Store, machines, self int, opts Options, 
 		events: make(chan CoordEvent, 4096),
 	}
 	rt.emit = func(ev CoordEvent) { rt.events <- ev }
-	g, _ := buildDataflowGraph(rt, plan)
-	job, err := dataflow.NewPartitionedJob(g, machines, self, opts.BatchSize, remote)
+	job, err := dataflow.NewPartitionedJob(buildDataflowGraph(rt, plan), machines, self, opts.BatchSize, remote)
 	if err != nil {
 		return nil, err
 	}
@@ -336,16 +353,10 @@ func NewWorkerJob(plan *Plan, st store.Store, machines, self int, opts Options, 
 	return &WorkerJob{Job: job, Events: rt.events, rt: rt}, nil
 }
 
-// Counters reports the runtime counters accumulated by this worker's hosts
-// (join builds, buffered-bag high-water mark, combiner traffic).
-func (w *WorkerJob) Counters() (joinBuilds, maxBuffered, combineIn, combineOut int64) {
-	return w.rt.joinBuilds.Load(), w.rt.maxBuffered.Load(), w.rt.combineIn.Load(), w.rt.combineOut.Load()
-}
-
-// DeltaCounters reports the delta-iteration totals of this worker's local
-// state partitions (see Result's Delta fields). Per-step series stay local
-// to the worker; the coordinator aggregates only the totals over the wire.
-func (w *WorkerJob) DeltaCounters() (in, changed, touched, elements, bytes int64) {
-	in, changed, touched, elements, bytes, _ = w.rt.deltaSummary()
-	return in, changed, touched, elements, bytes
+// Counters reports the counter record of this worker's partition: its
+// hosts' counters, the delta totals of its local solution stores, and its
+// engine counters. Per-step delta series stay local to the worker.
+func (w *WorkerJob) Counters() Counters {
+	c, _ := w.rt.counters(w.Job)
+	return c
 }

@@ -72,6 +72,30 @@ type PlanInput struct {
 	Chained bool
 }
 
+// PlanFor builds the plan an execution with opts runs: BuildPlan at
+// opts.Parallelism (0 selects one instance per machine), then the plan
+// rewrites opts enables, in their fixed order — combiners, then chaining.
+// It is the one place that maps options to plan passes, so the simulated
+// backend, the TCP coordinator, and every TCP worker (which rebuilds the
+// plan from shipped source) plan identically.
+func PlanFor(g *ir.Graph, opts Options, machines int) (*Plan, error) {
+	par := opts.Parallelism
+	if par == 0 {
+		par = machines
+	}
+	plan, err := BuildPlan(g, par)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Combiners {
+		plan.InsertCombiners()
+	}
+	if opts.Chaining {
+		plan.BuildChains()
+	}
+	return plan, nil
+}
+
 // BuildPlan plans the dataflow job for an SSA graph. parallelism is the
 // degree of parallelism of data-parallel operators (readers, joins,
 // aggregations' pre-stages); singleton-producing operators always run with

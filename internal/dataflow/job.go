@@ -130,6 +130,20 @@ type JobStats struct {
 	CtrlBytes    int64
 }
 
+// Add sums o into s, field by field: the stats of one job split across
+// several partitions (one per worker process) add up to the whole job's.
+func (s *JobStats) Add(o JobStats) {
+	s.ElementsSent += o.ElementsSent
+	s.ElementsChained += o.ElementsChained
+	s.BatchesSent += o.BatchesSent
+	s.RemoteBatches += o.RemoteBatches
+	s.BytesSent += o.BytesSent
+	s.BytesReceived += o.BytesReceived
+	s.MailboxDropped += o.MailboxDropped
+	s.CtrlMessages += o.CtrlMessages
+	s.CtrlBytes += o.CtrlBytes
+}
+
 // NewJob plans the physical execution of g on cl. batchSize <= 0 selects
 // DefaultBatchSize.
 func NewJob(g *Graph, cl *cluster.Cluster, batchSize int) (*Job, error) {

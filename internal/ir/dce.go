@@ -55,6 +55,19 @@ func EliminateDeadCode(g *Graph) int {
 	return removed
 }
 
+// CompileSource parses, checks, and compiles Mitos script source to SSA —
+// the whole front and middle end for callers that hold source text.
+func CompileSource(src string) (*Graph, error) {
+	prog, err := lang.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := lang.Check(prog); err != nil {
+		return nil, err
+	}
+	return CompileToSSA(prog)
+}
+
 // CompileToSSA runs the full middle-end pipeline on a checked program:
 // lowering, SSA conversion, and dead-code elimination. It is the single
 // entry point used by the public API, the workloads, and the tools.

@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"github.com/mitos-project/mitos/internal/core"
-	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/obs"
 	"github.com/mitos-project/mitos/internal/store"
 )
@@ -108,38 +106,21 @@ type NamedStore interface {
 	Names() []string
 }
 
-// Result reports one job run on the TCP backend.
+// Result reports one job run on the TCP backend: the record every backend
+// reports, plus what only a real cluster has. In the embedded core.Result,
+// Duration is measured at the coordinator from first job shipment to the
+// last worker result — retries and their backoff included; Counters merge
+// the workers' records of the successful attempt (torn-down attempts report
+// nothing); DeltaSteps stays nil, since workers ship only delta totals.
+// Every counter covers this job alone, even on a session that ran others.
 type Result struct {
-	// Steps is the execution path length.
-	Steps int
-	// Duration is the wall-clock job time, measured at the coordinator
-	// from first job shipment to the last worker result — retries and
-	// their backoff included.
-	Duration time.Duration
+	core.Result
 	// Attempts is how many executions the job took: 1 for a clean run,
 	// more when worker loss forced re-execution.
 	Attempts int
 	// AttemptErrors holds the error of every failed attempt that preceded
 	// the successful one, in order; empty for a clean run.
 	AttemptErrors []string
-	// Job sums the workers' engine transfer counters (successful attempt
-	// only; torn-down attempts report nothing).
-	Job dataflow.JobStats
-	// JoinBuilds, CombineIn, CombineOut sum the workers' host counters;
-	// MaxBufferedBags is the maximum across workers.
-	JoinBuilds      int64
-	MaxBufferedBags int64
-	CombineIn       int64
-	CombineOut      int64
-	// Delta-iteration counters summed across workers: delta elements in,
-	// changed pairs emitted, index entries touched, and final solution-set
-	// elements/bytes held. State lives per attempt — a retried job rebuilds
-	// it from scratch, and only the successful attempt reports.
-	DeltaIn       int64
-	DeltaChanged  int64
-	DeltaTouched  int64
-	DeltaElements int64
-	DeltaBytes    int64
 	// SocketBytes is the total data-plane traffic (sum of every peer
 	// link's bytes written) — the real-wire analogue of Job.BytesSent,
 	// which counts only encoded batch payloads.
@@ -155,10 +136,6 @@ type Result struct {
 	// MsgAssign) is excluded: these measure per-step control traffic.
 	CtrlMessages int64
 	CtrlBytes    int64
-	// TemplateInstalls and TemplateInstantiations report the control-flow
-	// manager's execution-template cache misses and hits.
-	TemplateInstalls       int
-	TemplateInstantiations int
 	// PeerLinks reports each worker's per-peer link counters.
 	PeerLinks [][]PeerStat
 	// WorkerStats holds each worker's final metrics snapshot (indexed by
@@ -839,30 +816,16 @@ type preparedJob struct {
 // structure, instances per block); the workers rebuild the identical plan
 // from the same source.
 func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (*preparedJob, error) {
-	par := opts.Parallelism
-	if par == 0 {
-		par = c.cfg.Workers
+	if opts.Parallelism == 0 {
+		opts.Parallelism = c.cfg.Workers
 	}
-	prog, err := lang.Parse(source)
+	ssa, err := ir.CompileSource(source)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := lang.Check(prog); err != nil {
-		return nil, err
-	}
-	ssa, err := ir.CompileToSSA(prog)
+	plan, err := core.PlanFor(ssa, opts, c.cfg.Workers)
 	if err != nil {
 		return nil, err
-	}
-	plan, err := core.BuildPlan(ssa, par)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Combiners {
-		plan.InsertCombiners()
-	}
-	if opts.Chaining {
-		plan.BuildChains()
 	}
 	names := st.Names()
 	sort.Strings(names)
@@ -875,15 +838,8 @@ func (c *Coordinator) prepare(source string, st NamedStore, opts core.Options) (
 		datasets = append(datasets, Dataset{Name: name, Elems: elems})
 	}
 	spec := JobSpec{
-		Source:      source,
-		Parallelism: par,
-		BatchSize:   opts.BatchSize,
-		Pipelining:  opts.Pipelining,
-		Hoisting:    opts.Hoisting,
-		Combiners:   opts.Combiners,
-		Chaining:    opts.Chaining,
-		Templates:   opts.Templates,
-		Delta:       opts.Delta,
+		Source:  source,
+		Options: opts,
 		// Workers collect what the coordinator can consume: trace spans
 		// when it has a tracer, lineage when it has a tracker, live queue
 		// sampling when an introspection server is attached.
@@ -1010,6 +966,10 @@ func (c *Coordinator) runAttempt(s *session, job *preparedJob, st NamedStore) (*
 	// so worker lineage absorbs onto the right timeline.
 	c.tel.beginJob(job.opts.Obs)
 	job.opts.Obs.Lin().Begin()
+	// The session's control counters restart with every attempt: a
+	// session runs many jobs, and each reports only its own frames.
+	s.ctrlMsgs.Store(0)
+	s.ctrlBytes.Store(0)
 	s.broadcast(MsgJob, job.spec)
 
 	cp := &tcpControlPlane{s: s}
@@ -1039,13 +999,16 @@ func (c *Coordinator) runAttempt(s *session, job *preparedJob, st NamedStore) (*
 	close(stop)
 	<-coordDone
 	out := &Result{
-		Steps:                  cstats.Steps,
-		TemplateInstalls:       cstats.TemplateInstalls,
-		TemplateInstantiations: cstats.TemplateInstantiations,
-		CtrlMessages:           s.ctrlMsgs.Load(),
-		CtrlBytes:              s.ctrlBytes.Load(),
-		PeerLinks:              make([][]PeerStat, len(results)),
-		WorkerStats:            make([]*obs.Snapshot, len(results)),
+		Result: core.Result{
+			Steps:                  cstats.Steps,
+			ChainedEdges:           job.plan.ChainedEdges(),
+			TemplateInstalls:       cstats.TemplateInstalls,
+			TemplateInstantiations: cstats.TemplateInstantiations,
+		},
+		CtrlMessages: s.ctrlMsgs.Load(),
+		CtrlBytes:    s.ctrlBytes.Load(),
+		PeerLinks:    make([][]PeerStat, len(results)),
+		WorkerStats:  make([]*obs.Snapshot, len(results)),
 	}
 	// The final telemetry flush precedes MsgResult on each (ordered)
 	// control connection, so every worker's end-of-job snapshot is already
@@ -1054,24 +1017,7 @@ func (c *Coordinator) runAttempt(s *session, job *preparedJob, st NamedStore) (*
 		out.WorkerStats[id] = c.tel.fed.Worker(id)
 	}
 	for id, r := range results {
-		out.Job.ElementsSent += r.Stats.ElementsSent
-		out.Job.ElementsChained += r.Stats.ElementsChained
-		out.Job.BatchesSent += r.Stats.BatchesSent
-		out.Job.RemoteBatches += r.Stats.RemoteBatches
-		out.Job.BytesSent += r.Stats.BytesSent
-		out.Job.BytesReceived += r.Stats.BytesReceived
-		out.Job.MailboxDropped += r.Stats.MailboxDropped
-		out.Job.CtrlMessages += r.Stats.CtrlMessages
-		out.Job.CtrlBytes += r.Stats.CtrlBytes
-		out.JoinBuilds += r.JoinBuilds
-		out.MaxBufferedBags = max(out.MaxBufferedBags, r.MaxBuffered)
-		out.CombineIn += r.CombineIn
-		out.CombineOut += r.CombineOut
-		out.DeltaIn += r.DeltaIn
-		out.DeltaChanged += r.DeltaChanged
-		out.DeltaTouched += r.DeltaTouched
-		out.DeltaElements += r.DeltaElements
-		out.DeltaBytes += r.DeltaBytes
+		out.Merge(r.Counters)
 		out.PeerLinks[id] = r.Peers
 		for _, p := range r.Peers {
 			out.SocketBytes += p.BytesOut

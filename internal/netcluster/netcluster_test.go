@@ -88,7 +88,8 @@ func diffStores(t *testing.T, sim, tcp NamedStore) {
 }
 
 // diffTCPvsSim runs source on both backends with the same inputs and the
-// same options and requires bag-identical outputs.
+// same options and requires bag-identical outputs and equal
+// backend-independent counters (sameCounters).
 func diffTCPvsSim(t *testing.T, source string, seed func(store.Store) error, workers int, opts core.Options, window int) {
 	t.Helper()
 	simStore := store.NewMemStore()
@@ -97,7 +98,7 @@ func diffTCPvsSim(t *testing.T, source string, seed func(store.Store) error, wor
 			t.Fatal(err)
 		}
 	}
-	runSim(t, source, simStore, workers, opts)
+	simRes := runSim(t, source, simStore, workers, opts)
 
 	c, cleanup, err := StartLocal(workers, CoordConfig{CreditWindow: window})
 	if err != nil {
@@ -110,10 +111,37 @@ func diffTCPvsSim(t *testing.T, source string, seed func(store.Store) error, wor
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Run(source, tcpStore, opts); err != nil {
+	tcpRes, err := c.Run(source, tcpStore, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	diffStores(t, simStore, tcpStore)
+	sameCounters(t, simRes, &tcpRes.Result)
+}
+
+// sameCounters fails the test unless both backends report the same
+// counters for one job: the plan and coordinator figures, and every field
+// of the counter record but one. Two fields legitimately differ between
+// backends and are left out:
+//   - MaxBufferedBags is a high-water mark of how far an instance's inputs
+//     ran ahead of it, which depends on scheduling, not on the program;
+//   - DeltaSteps, the per-step delta series, is reported by the simulated
+//     backend only (TCP workers ship the totals).
+func sameCounters(t *testing.T, sim, tcp *core.Result) {
+	t.Helper()
+	if sim.Steps != tcp.Steps || sim.ChainedEdges != tcp.ChainedEdges ||
+		sim.TemplateInstalls != tcp.TemplateInstalls || sim.TemplateInstantiations != tcp.TemplateInstantiations {
+		t.Errorf("plan/coordinator counters differ: sim steps %d, chained edges %d, templates %d/%d; tcp %d, %d, %d/%d",
+			sim.Steps, sim.ChainedEdges, sim.TemplateInstalls, sim.TemplateInstantiations,
+			tcp.Steps, tcp.ChainedEdges, tcp.TemplateInstalls, tcp.TemplateInstantiations)
+	}
+	comparable := func(c core.Counters) core.Counters {
+		c.MaxBufferedBags = 0
+		return c
+	}
+	if s, c := comparable(sim.Counters), comparable(tcp.Counters); s != c {
+		t.Errorf("counter records differ:\n sim %+v\n tcp %+v", s, c)
+	}
 }
 
 func TestTCPMatchesSimVisitCount(t *testing.T) {
@@ -305,6 +333,62 @@ func TestTCPResultStats(t *testing.T) {
 	for id, links := range res.PeerLinks {
 		if len(links) != 2 {
 			t.Errorf("worker %d: %d peer links, want 2", id, len(links))
+		}
+	}
+}
+
+// TestTCPCountersPerJob runs the same job twice on one session: every
+// per-job counter of the second run must equal the first's. Session-wide
+// totals (control frames, socket bytes, link counters) would double.
+func TestTCPCountersPerJob(t *testing.T) {
+	const src = `
+data = readFile("in")
+total = newBag(0)
+i = 1
+while (i <= 5) {
+  kept = data.cross(newBag(i)).map(t => t.0 * t.1).filter(x => x % 3 != 0)
+  total = total.union(kept.sum()).sum()
+  i = i + 1
+}
+total.writeFile("out")
+`
+	c, cleanup, err := StartLocal(2, CoordConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	var runs [2]*Result
+	for i := range runs {
+		st := store.NewMemStore()
+		elems := make([]val.Value, 200)
+		for k := range elems {
+			elems[k] = val.Int(int64(k))
+		}
+		if err := st.WriteDataset("in", elems); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(src, st, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("job %d: %v", i+1, err)
+		}
+		runs[i] = res
+	}
+	a, b := runs[0], runs[1]
+	if a.CtrlMessages == 0 || a.SocketBytes == 0 {
+		t.Fatalf("job 1 reported no traffic: %d control frames, %d socket bytes", a.CtrlMessages, a.SocketBytes)
+	}
+	if a.CtrlMessages != b.CtrlMessages || a.CtrlBytes != b.CtrlBytes {
+		t.Errorf("control traffic: job 1 %d frames / %d B, job 2 %d / %d", a.CtrlMessages, a.CtrlBytes, b.CtrlMessages, b.CtrlBytes)
+	}
+	if a.SocketBytes != b.SocketBytes || a.CreditStalls != b.CreditStalls || a.CreditStallTime != b.CreditStallTime {
+		t.Errorf("data plane: job 1 %d B, %d stalls (%v); job 2 %d B, %d stalls (%v)",
+			a.SocketBytes, a.CreditStalls, a.CreditStallTime, b.SocketBytes, b.CreditStalls, b.CreditStallTime)
+	}
+	for id := range a.PeerLinks {
+		for k, la := range a.PeerLinks[id] {
+			if lb := b.PeerLinks[id][k]; la != lb {
+				t.Errorf("worker %d link %d: job 1 %+v, job 2 %+v", id, la.Peer, la, lb)
+			}
 		}
 	}
 }

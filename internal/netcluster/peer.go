@@ -67,6 +67,10 @@ type mesh struct {
 	job      *dataflow.Job
 	jobReady chan struct{}
 
+	// base holds the link totals at the start of the current job (markJob),
+	// so stats reports per-job counters on a session that runs several.
+	base []PeerStat
+
 	tokens chan int // flush tokens received, by peer ID
 	done   chan struct{}
 	closed atomic.Bool
@@ -111,11 +115,16 @@ type sendQueue struct {
 	q      []outFrame
 	head   int
 	closed bool
+	// writing marks a taken frame whose write has not finished: the single
+	// sender only comes back to take once it has. idle wakes awaitIdle.
+	writing bool
+	idle    *sync.Cond
 }
 
 func newSendQueue() *sendQueue {
 	q := &sendQueue{}
 	q.cond = sync.NewCond(&q.mu)
+	q.idle = sync.NewCond(&q.mu)
 	return q
 }
 
@@ -137,6 +146,10 @@ func (q *sendQueue) put(f outFrame) bool {
 func (q *sendQueue) take() (outFrame, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.writing && q.head == len(q.q) {
+		q.idle.Broadcast()
+	}
+	q.writing = false
 	for q.head == len(q.q) && !q.closed {
 		q.cond.Wait()
 	}
@@ -146,6 +159,7 @@ func (q *sendQueue) take() (outFrame, bool) {
 	f := q.q[q.head]
 	q.q[q.head] = outFrame{} // release the payload reference
 	q.head++
+	q.writing = true
 	if q.head == len(q.q) || q.head > 1024 {
 		q.q = append(q.q[:0], q.q[q.head:]...)
 		q.head = 0
@@ -160,10 +174,21 @@ func (q *sendQueue) depth() int {
 	return len(q.q) - q.head
 }
 
+// awaitIdle blocks until every queued frame has been written, or the
+// queue closes.
+func (q *sendQueue) awaitIdle() {
+	q.mu.Lock()
+	for (q.writing || q.head < len(q.q)) && !q.closed {
+		q.idle.Wait()
+	}
+	q.mu.Unlock()
+}
+
 func (q *sendQueue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.cond.Broadcast()
+	q.idle.Broadcast()
 	q.mu.Unlock()
 }
 
@@ -440,8 +465,6 @@ func (m *mesh) readLoop(p *peer) {
 			}
 			return
 		}
-		p.framesIn.Add(1)
-		p.bytesIn.Add(int64(5 + len(body)))
 		switch typ {
 		case MsgData, MsgEOB:
 			hdr, payload, err := DecodeFrameHeader(body)
@@ -453,6 +476,9 @@ func (m *mesh) readLoop(p *peer) {
 			if j == nil {
 				return // mesh closed while parked
 			}
+			// Counted once delivered: a frame a faster peer sent for the
+			// next job belongs to that job's link counters (markJob).
+			p.countIn(len(body))
 			rh := dataflow.RemoteHeader{Op: dataflow.OpID(hdr.Op), Inst: hdr.Inst, Input: hdr.Input, From: hdr.From}
 			k := chanKey{op: hdr.Op, inst: hdr.Inst, input: hdr.Input, from: hdr.From}
 			ack := func() { m.sendCredit(p, k) }
@@ -469,6 +495,7 @@ func (m *mesh) readLoop(p *peer) {
 				return
 			}
 		case MsgCredit:
+			p.countIn(len(body))
 			hdr, _, err := DecodeFrameHeader(body)
 			if err != nil {
 				m.fail(fmt.Errorf("netcluster: worker %d: corrupt credit from peer %d: %w", m.self, p.id, err))
@@ -476,6 +503,7 @@ func (m *mesh) readLoop(p *peer) {
 			}
 			p.credits.grant(chanKey{op: hdr.Op, inst: hdr.Inst, input: hdr.Input, from: hdr.From}, hdr.Arg)
 		case MsgFlush:
+			p.countIn(len(body))
 			select {
 			case m.tokens <- p.id:
 			case <-m.done:
@@ -486,6 +514,12 @@ func (m *mesh) readLoop(p *peer) {
 			return
 		}
 	}
+}
+
+// countIn records one inbound frame of body size n.
+func (p *peer) countIn(n int) {
+	p.framesIn.Add(1)
+	p.bytesIn.Add(int64(5 + n))
 }
 
 // sendCredit returns one processed frame's credit to the producer by
@@ -509,7 +543,26 @@ func (m *mesh) egressBacklog() int {
 	return total
 }
 
-// stats snapshots every peer link's counters.
+// awaitEgress blocks until every frame queued on any link — data, flush
+// tokens, and the credit returns the job's last deliveries produced — has
+// been written, so stats counts all of a finished job's outbound traffic.
+func (m *mesh) awaitEgress() {
+	for _, p := range m.peers {
+		if p != nil {
+			p.frames.awaitIdle()
+			p.grants.awaitIdle()
+		}
+	}
+}
+
+// markJob starts a job's link accounting: stats reports the counters
+// accumulated since the last markJob.
+func (m *mesh) markJob() {
+	m.base = nil // stats subtracts base: clear it to read the raw totals
+	m.base = m.stats()
+}
+
+// stats snapshots every peer link's counters since the last markJob.
 func (m *mesh) stats() []PeerStat {
 	var out []PeerStat
 	for _, p := range m.peers {
@@ -525,6 +578,15 @@ func (m *mesh) stats() []PeerStat {
 			CreditStalls: p.credits.stalls.Load(),
 			StallNanos:   p.credits.stallNanos.Load(),
 		})
+	}
+	for i, b := range m.base {
+		o := &out[i]
+		o.BytesOut -= b.BytesOut
+		o.BytesIn -= b.BytesIn
+		o.FramesOut -= b.FramesOut
+		o.FramesIn -= b.FramesIn
+		o.CreditStalls -= b.CreditStalls
+		o.StallNanos -= b.StallNanos
 	}
 	return out
 }

@@ -24,7 +24,7 @@ import (
 	"io"
 	"time"
 
-	"github.com/mitos-project/mitos/internal/dataflow"
+	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/obs"
 	"github.com/mitos-project/mitos/internal/val"
 )
@@ -433,20 +433,13 @@ func decodeDatasets(d *dec) []Dataset {
 // JobSpec ships one job to the workers: the program source (every worker
 // rebuilds the identical plan deterministically — cheaper and
 // version-safer than serializing the plan itself), the options that shape
-// the plan, the flow-control window, and the input datasets.
+// the plan and its execution, and the input datasets.
 type JobSpec struct {
-	Source      string
-	Parallelism int
-	BatchSize   int
-	Pipelining  bool
-	Hoisting    bool
-	Combiners   bool
-	Chaining    bool
-	Templates   bool
-	// Delta selects incremental solution-set maintenance for deltaMerge
-	// state (false = the -delta=off ablation: every step re-derives the
-	// full index before merging).
-	Delta bool
+	Source string
+	// Options ships Parallelism (resolved: never 0), BatchSize, and the
+	// optimization switches. Obs and HTTP are process-local and are never
+	// encoded; a decoded spec has them nil.
+	Options core.Options
 	// Trace, Lineage, and LiveView tell the workers which telemetry to
 	// collect for this job: trace spans (shipped as MsgTrace frames), bag
 	// lineage (shipped with the final MsgStats), and the per-edge queue
@@ -458,18 +451,21 @@ type JobSpec struct {
 	Datasets []Dataset
 }
 
+// switchFields lists the optimization switches of o in wire order.
+func switchFields(o *core.Options) []*bool {
+	return []*bool{&o.Pipelining, &o.Hoisting, &o.Combiners, &o.Chaining, &o.Templates, &o.Delta}
+}
+
 // AppendJobSpec appends the encoding of s to dst.
 func AppendJobSpec(dst []byte, s JobSpec) []byte {
 	e := enc{b: dst}
 	e.str(s.Source)
-	e.num(s.Parallelism)
-	e.num(s.BatchSize)
-	e.boolean(s.Pipelining)
-	e.boolean(s.Hoisting)
-	e.boolean(s.Combiners)
-	e.boolean(s.Chaining)
-	e.boolean(s.Templates)
-	e.boolean(s.Delta)
+	o := s.Options
+	e.num(o.Parallelism)
+	e.num(o.BatchSize)
+	for _, on := range switchFields(&o) {
+		e.boolean(*on)
+	}
 	e.boolean(s.Trace)
 	e.boolean(s.Lineage)
 	e.boolean(s.LiveView)
@@ -480,20 +476,16 @@ func AppendJobSpec(dst []byte, s JobSpec) []byte {
 // DecodeJobSpec decodes a JobSpec.
 func DecodeJobSpec(b []byte) (JobSpec, error) {
 	d := dec{b: b}
-	s := JobSpec{
-		Source:      d.str(),
-		Parallelism: d.num(),
-		BatchSize:   d.num(),
-		Pipelining:  d.boolean(),
-		Hoisting:    d.boolean(),
-		Combiners:   d.boolean(),
-		Chaining:    d.boolean(),
-		Templates:   d.boolean(),
-		Delta:       d.boolean(),
-		Trace:       d.boolean(),
-		Lineage:     d.boolean(),
-		LiveView:    d.boolean(),
+	s := JobSpec{Source: d.str()}
+	o := &s.Options
+	o.Parallelism = d.num()
+	o.BatchSize = d.num()
+	for _, on := range switchFields(o) {
+		*on = d.boolean()
 	}
+	s.Trace = d.boolean()
+	s.Lineage = d.boolean()
+	s.LiveView = d.boolean()
 	s.Datasets = decodeDatasets(&d)
 	return s, d.fin()
 }
@@ -649,47 +641,32 @@ type PeerStat struct {
 	StallNanos   int64 // total time spent blocked
 }
 
-// ResultMsg is a worker's end-of-job report: engine stats, host counters,
-// the datasets it wrote, and per-peer link counters.
+// ResultMsg is a worker's end-of-job report: its partition's counter
+// record, the datasets it wrote, and per-peer link counters for the job.
 type ResultMsg struct {
-	Stats       dataflow.JobStats
-	JoinBuilds  int64
-	MaxBuffered int64
-	CombineIn   int64
-	CombineOut  int64
-	// Delta-iteration counters from this worker's solution stores: delta
-	// elements in, changed pairs emitted, index entries touched, and the
-	// final held elements/bytes.
-	DeltaIn       int64
-	DeltaChanged  int64
-	DeltaTouched  int64
-	DeltaElements int64
-	DeltaBytes    int64
-	Datasets      []Dataset
-	Peers         []PeerStat
+	Counters core.Counters
+	Datasets []Dataset
+	Peers    []PeerStat
+}
+
+// counterFields lists the counter record in wire order: the engine's
+// transfer counters, then the host and delta-iteration counters.
+func counterFields(c *core.Counters) []*int64 {
+	j := &c.Job
+	return []*int64{
+		&j.ElementsSent, &j.ElementsChained, &j.BatchesSent, &j.RemoteBatches,
+		&j.BytesSent, &j.BytesReceived, &j.MailboxDropped, &j.CtrlMessages, &j.CtrlBytes,
+		&c.JoinBuilds, &c.MaxBufferedBags, &c.CombineIn, &c.CombineOut,
+		&c.DeltaIn, &c.DeltaChanged, &c.DeltaTouched, &c.DeltaElements, &c.DeltaBytes,
+	}
 }
 
 // AppendResult appends the encoding of r to dst.
 func AppendResult(dst []byte, r ResultMsg) []byte {
 	e := enc{b: dst}
-	e.i64(r.Stats.ElementsSent)
-	e.i64(r.Stats.ElementsChained)
-	e.i64(r.Stats.BatchesSent)
-	e.i64(r.Stats.RemoteBatches)
-	e.i64(r.Stats.BytesSent)
-	e.i64(r.Stats.BytesReceived)
-	e.i64(r.Stats.MailboxDropped)
-	e.i64(r.Stats.CtrlMessages)
-	e.i64(r.Stats.CtrlBytes)
-	e.i64(r.JoinBuilds)
-	e.i64(r.MaxBuffered)
-	e.i64(r.CombineIn)
-	e.i64(r.CombineOut)
-	e.i64(r.DeltaIn)
-	e.i64(r.DeltaChanged)
-	e.i64(r.DeltaTouched)
-	e.i64(r.DeltaElements)
-	e.i64(r.DeltaBytes)
+	for _, v := range counterFields(&r.Counters) {
+		e.i64(*v)
+	}
 	appendDatasets(&e, r.Datasets)
 	e.u64(uint64(len(r.Peers)))
 	for _, p := range r.Peers {
@@ -708,24 +685,9 @@ func AppendResult(dst []byte, r ResultMsg) []byte {
 func DecodeResult(b []byte) (ResultMsg, error) {
 	d := dec{b: b}
 	var r ResultMsg
-	r.Stats.ElementsSent = d.i64()
-	r.Stats.ElementsChained = d.i64()
-	r.Stats.BatchesSent = d.i64()
-	r.Stats.RemoteBatches = d.i64()
-	r.Stats.BytesSent = d.i64()
-	r.Stats.BytesReceived = d.i64()
-	r.Stats.MailboxDropped = d.i64()
-	r.Stats.CtrlMessages = d.i64()
-	r.Stats.CtrlBytes = d.i64()
-	r.JoinBuilds = d.i64()
-	r.MaxBuffered = d.i64()
-	r.CombineIn = d.i64()
-	r.CombineOut = d.i64()
-	r.DeltaIn = d.i64()
-	r.DeltaChanged = d.i64()
-	r.DeltaTouched = d.i64()
-	r.DeltaElements = d.i64()
-	r.DeltaBytes = d.i64()
+	for _, v := range counterFields(&r.Counters) {
+		*v = d.i64()
+	}
 	r.Datasets = decodeDatasets(&d)
 	n := d.u64()
 	if n > uint64(len(d.b)) { // each peer stat takes at least one byte

@@ -3,10 +3,13 @@ package netcluster
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"strings"
 	"testing"
 
+	"github.com/mitos-project/mitos/internal/core"
+	"github.com/mitos-project/mitos/internal/dataflow"
 	"github.com/mitos-project/mitos/internal/val"
 )
 
@@ -31,31 +34,30 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Errorf("Assign: got %+v, err %v", got, err)
 	}
 	spec := JobSpec{
-		Source: "x = readDataset(a);", Parallelism: 4, BatchSize: 128,
-		Pipelining: true, Combiners: true, Templates: true, Delta: true,
+		Source: "x = readDataset(a);",
+		Options: core.Options{Parallelism: 4, BatchSize: 128,
+			Pipelining: true, Combiners: true, Templates: true, Delta: true},
 		Datasets: []Dataset{{Name: "a", Elems: []val.Value{val.Int(1), val.Str("two"), val.Pair(val.Int(3), val.Float(4.5))}}},
 	}
 	gotSpec, err := DecodeJobSpec(AppendJobSpec(nil, spec))
 	if err != nil {
 		t.Fatalf("JobSpec: %v", err)
 	}
-	if gotSpec.Source != spec.Source || gotSpec.Parallelism != 4 || !gotSpec.Pipelining || gotSpec.Hoisting ||
-		!gotSpec.Templates || !gotSpec.Delta ||
+	if gotSpec.Source != spec.Source || gotSpec.Options != spec.Options ||
 		len(gotSpec.Datasets) != 1 || len(gotSpec.Datasets[0].Elems) != 3 ||
 		gotSpec.Datasets[0].Elems[2].Field(1).AsFloat() != 4.5 {
 		t.Errorf("JobSpec: got %+v", gotSpec)
 	}
-	r := ResultMsg{JoinBuilds: 7, Datasets: []Dataset{{Name: "out", Elems: []val.Value{val.Int(9)}}},
-		Peers:   []PeerStat{{Peer: 1, BytesOut: 100, CreditStalls: 3, StallNanos: 12345}},
-		DeltaIn: 1000, DeltaChanged: 600, DeltaTouched: 1700, DeltaElements: 88, DeltaBytes: 4096}
-	r.Stats.ElementsSent = 42
-	r.Stats.CtrlMessages = 17
-	r.Stats.CtrlBytes = 321
+	r := ResultMsg{Datasets: []Dataset{{Name: "out", Elems: []val.Value{val.Int(9)}}},
+		Peers: []PeerStat{{Peer: 1, BytesOut: 100, CreditStalls: 3, StallNanos: 12345}}}
+	r.Counters.JoinBuilds = 7
+	r.Counters.DeltaIn, r.Counters.DeltaChanged, r.Counters.DeltaTouched = 1000, 600, 1700
+	r.Counters.DeltaElements, r.Counters.DeltaBytes = 88, 4096
+	r.Counters.Job.ElementsSent = 42
+	r.Counters.Job.CtrlMessages = 17
+	r.Counters.Job.CtrlBytes = 321
 	gotR, err := DecodeResult(AppendResult(nil, r))
-	if err != nil || gotR.Stats.ElementsSent != 42 || gotR.JoinBuilds != 7 ||
-		gotR.Stats.CtrlMessages != 17 || gotR.Stats.CtrlBytes != 321 ||
-		gotR.DeltaIn != 1000 || gotR.DeltaChanged != 600 || gotR.DeltaTouched != 1700 ||
-		gotR.DeltaElements != 88 || gotR.DeltaBytes != 4096 ||
+	if err != nil || gotR.Counters != r.Counters ||
 		len(gotR.Peers) != 1 || gotR.Peers[0].StallNanos != 12345 || len(gotR.Datasets) != 1 {
 		t.Errorf("Result: got %+v, err %v", gotR, err)
 	}
@@ -77,6 +79,56 @@ func TestWireRoundTrips(t *testing.T) {
 	if err != nil || gotH != h || len(payload) != 2 || payload[0] != 0xaa {
 		t.Errorf("FrameHeader: got %+v payload %x err %v", gotH, payload, err)
 	}
+}
+
+// TestWireGolden pins the encodings of a JobSpec (switches mixed on and
+// off) and a ResultMsg (every counter distinct and nonzero) to fixed bytes.
+// Round trips cannot catch two fields swapping places in both encoder and
+// decoder; this can. A change here is a wire change: bump Version.
+func TestWireGolden(t *testing.T) {
+	spec := JobSpec{
+		Source: `x = readFile("a")`,
+		Options: core.Options{Parallelism: 3, BatchSize: 64,
+			Pipelining: true, Combiners: true, Templates: true},
+		Lineage:  true,
+		Datasets: []Dataset{{Name: "a", Elems: []val.Value{val.Int(1), val.Str("b")}}},
+	}
+	const specHex = "1178203d207265616446696c652822612229068001010001000100000100010161020102030162"
+	if got := hex.EncodeToString(AppendJobSpec(nil, spec)); got != specHex {
+		t.Errorf("JobSpec encoding changed:\n got %s\nwant %s", got, specHex)
+	}
+	if got, err := DecodeJobSpec(mustHex(t, specHex)); err != nil || got.Options != spec.Options ||
+		got.Source != spec.Source || got.Trace || !got.Lineage || got.LiveView {
+		t.Errorf("JobSpec golden decodes to %+v, err %v", got, err)
+	}
+
+	r := ResultMsg{
+		Datasets: []Dataset{{Name: "out", Elems: []val.Value{val.Int(9)}}},
+		Peers:    []PeerStat{{Peer: 1, BytesOut: 19, BytesIn: 20, FramesOut: 21, FramesIn: 22, CreditStalls: 23, StallNanos: 24}},
+	}
+	r.Counters.Job = dataflow.JobStats{ElementsSent: 1, ElementsChained: 2, BatchesSent: 3, RemoteBatches: 4,
+		BytesSent: 5, BytesReceived: 6, MailboxDropped: 7, CtrlMessages: 8, CtrlBytes: 9}
+	r.Counters.JoinBuilds, r.Counters.MaxBufferedBags = 10, 11
+	r.Counters.CombineIn, r.Counters.CombineOut = 12, 13
+	r.Counters.DeltaIn, r.Counters.DeltaChanged, r.Counters.DeltaTouched = 14, 15, 16
+	r.Counters.DeltaElements, r.Counters.DeltaBytes = 17, 18
+	const resultHex = "020406080a0c0e10121416181a1c1e20222401036f7574010112010226282a2c2e30"
+	if got := hex.EncodeToString(AppendResult(nil, r)); got != resultHex {
+		t.Errorf("ResultMsg encoding changed:\n got %s\nwant %s", got, resultHex)
+	}
+	if got, err := DecodeResult(mustHex(t, resultHex)); err != nil || got.Counters != r.Counters ||
+		len(got.Peers) != 1 || got.Peers[0] != r.Peers[0] {
+		t.Errorf("ResultMsg golden decodes to %+v, err %v", got, err)
+	}
+}
+
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestWireHelloRejectsMismatch(t *testing.T) {
@@ -154,7 +206,7 @@ func (m *meteredReader) Read(p []byte) (int, error) { return m.r.Read(p) }
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Role: RolePeer, ID: 1}), byte(0))
 	f.Add(AppendAssign(nil, Assign{ID: 1, Workers: 3, Peers: []string{"x:1", "y:2", "z:3"}, HeartbeatMillis: 100}), byte(1))
-	f.Add(AppendJobSpec(nil, JobSpec{Source: "loop", Parallelism: 2, Datasets: []Dataset{{Name: "d", Elems: []val.Value{val.Int(5)}}}}), byte(2))
+	f.Add(AppendJobSpec(nil, JobSpec{Source: "loop", Options: core.Options{Parallelism: 2}, Datasets: []Dataset{{Name: "d", Elems: []val.Value{val.Int(5)}}}}), byte(2))
 	f.Add(AppendResult(nil, ResultMsg{Peers: []PeerStat{{Peer: 1}}}), byte(3))
 	f.Add(AppendFrameHeader(nil, FrameHeader{Op: 1, Inst: 2, Input: 0, From: 1, Arg: 9}), byte(4))
 	f.Add(AppendPathUpdate(nil, PathUpdateMsg{Pos: 3, Block: 2, Final: true}), byte(5))
@@ -190,7 +242,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		case 3:
 			if r, err := DecodeResult(data); err == nil {
 				r2, err := DecodeResult(AppendResult(nil, r))
-				if err != nil || r2.Stats != r.Stats || len(r2.Peers) != len(r.Peers) {
+				if err != nil || r2.Counters != r.Counters || len(r2.Peers) != len(r.Peers) {
 					t.Fatalf("Result not stable (%v)", err)
 				}
 			}

@@ -13,7 +13,6 @@ import (
 
 	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/obs"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
@@ -147,7 +146,7 @@ type workerJobRun struct {
 	telDropped *obs.Counter
 	telFrames  *obs.Counter
 
-	// Templated execution (spec.Templates && spec.Pipelining): the worker
+	// Templated execution (Templates and Pipelining both on): the worker
 	// mirrors the coordinator's path so it can fan templates out locally,
 	// speculate past its own condition decisions, and fold per-instance
 	// completions into one aggregated event per position. All of it lives
@@ -466,26 +465,13 @@ func (s *workerSession) startJob(spec JobSpec) error {
 	if s.running() != nil {
 		return fmt.Errorf("netcluster: worker %d: job while one is already running", s.id)
 	}
-	prog, err := lang.Parse(spec.Source)
+	ssa, err := ir.CompileSource(spec.Source)
 	if err != nil {
 		return fmt.Errorf("netcluster: worker %d: shipped program: %w", s.id, err)
 	}
-	if _, err := lang.Check(prog); err != nil {
-		return fmt.Errorf("netcluster: worker %d: shipped program: %w", s.id, err)
-	}
-	ssa, err := ir.CompileToSSA(prog)
-	if err != nil {
-		return fmt.Errorf("netcluster: worker %d: shipped program: %w", s.id, err)
-	}
-	plan, err := core.BuildPlan(ssa, spec.Parallelism)
+	plan, err := core.PlanFor(ssa, spec.Options, s.n)
 	if err != nil {
 		return fmt.Errorf("netcluster: worker %d: planning: %w", s.id, err)
-	}
-	if spec.Combiners {
-		plan.InsertCombiners()
-	}
-	if spec.Chaining {
-		plan.BuildChains()
 	}
 	st := newTrackingStore()
 	for _, ds := range spec.Datasets {
@@ -509,17 +495,8 @@ func (s *workerSession) startJob(spec JobSpec) error {
 		o.EnableLineage()
 		o.Lin().Begin()
 	}
-	opts := core.Options{
-		Parallelism: spec.Parallelism,
-		Pipelining:  spec.Pipelining,
-		Hoisting:    spec.Hoisting,
-		Combiners:   spec.Combiners,
-		Chaining:    spec.Chaining,
-		Templates:   spec.Templates,
-		Delta:       spec.Delta,
-		BatchSize:   spec.BatchSize,
-		Obs:         o,
-	}
+	opts := spec.Options
+	opts.Obs = o
 	wj, err := core.NewWorkerJob(plan, st, s.n, s.id, opts, s.mesh)
 	if err != nil {
 		return fmt.Errorf("netcluster: worker %d: building partition: %w", s.id, err)
@@ -529,7 +506,7 @@ func (s *workerSession) startJob(spec JobSpec) error {
 	}
 	rj := &workerJobRun{
 		wj: wj, st: st, done: make(chan struct{}), plan: plan,
-		templated:  spec.Templates && spec.Pipelining,
+		templated:  opts.Templates && opts.Pipelining,
 		obs:        o,
 		telC:       make(chan struct{}, 1),
 		telDropped: o.Reg().Counter(s.id, "netcluster", "telemetry_dropped"),
@@ -543,6 +520,7 @@ func (s *workerSession) startJob(spec JobSpec) error {
 	s.jobMu.Lock()
 	s.job = rj
 	s.jobMu.Unlock()
+	s.mesh.markJob()
 	s.mesh.setJob(wj.Job)
 	if err := wj.Job.Start(); err != nil {
 		s.jobMu.Lock()
@@ -751,21 +729,11 @@ func (s *workerSession) finishJob() error {
 	// ordered, so the coordinator has the complete registry and lineage
 	// before the MsgResult below lets Run return.
 	s.shipTelemetry(rj, true)
-	jb, mb, ci, co := rj.wj.Counters()
-	din, dch, dto, del, dby := rj.wj.DeltaCounters()
+	s.mesh.awaitEgress()
 	res := ResultMsg{
-		Stats:         rj.wj.Job.Stats(),
-		JoinBuilds:    jb,
-		MaxBuffered:   mb,
-		CombineIn:     ci,
-		CombineOut:    co,
-		DeltaIn:       din,
-		DeltaChanged:  dch,
-		DeltaTouched:  dto,
-		DeltaElements: del,
-		DeltaBytes:    dby,
-		Datasets:      rj.st.written(),
-		Peers:         s.mesh.stats(),
+		Counters: rj.wj.Counters(),
+		Datasets: rj.st.written(),
+		Peers:    s.mesh.stats(),
 	}
 	return s.send(MsgResult, AppendResult(nil, res))
 }

@@ -15,7 +15,6 @@ import (
 	"github.com/mitos-project/mitos/internal/cluster"
 	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
 )
@@ -84,14 +83,7 @@ comp.writeFile("components")
 
 // CompileMitos compiles the connected-components script to SSA.
 func (s ConnectedSpec) CompileMitos() (*ir.Graph, error) {
-	prog, err := lang.Parse(ConnectedScript)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := lang.Check(prog); err != nil {
-		return nil, err
-	}
-	return ir.CompileToSSA(prog)
+	return ir.CompileSource(ConnectedScript)
 }
 
 // RunConnected executes connected components on the Mitos runtime and

@@ -7,7 +7,6 @@ import (
 	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/flinklike"
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/naiadlike"
 	"github.com/mitos-project/mitos/internal/sparklike"
 	"github.com/mitos-project/mitos/internal/store"
@@ -33,14 +32,7 @@ newBag(x).writeFile("out")
 // StepMitos runs the microbenchmark loop on the Mitos runtime and returns
 // the execution result (the chaining ablation reads its engine counters).
 func StepMitos(cl *cluster.Cluster, st store.Store, steps int, opts core.Options) (*core.Result, error) {
-	prog, err := lang.Parse(StepLoopScript(steps))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := lang.Check(prog); err != nil {
-		return nil, err
-	}
-	g, err := ir.CompileToSSA(prog)
+	g, err := ir.CompileSource(StepLoopScript(steps))
 	if err != nil {
 		return nil, err
 	}

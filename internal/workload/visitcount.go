@@ -13,7 +13,6 @@ import (
 	"github.com/mitos-project/mitos/internal/core"
 	"github.com/mitos-project/mitos/internal/flinklike"
 	"github.com/mitos-project/mitos/internal/ir"
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/sparklike"
 	"github.com/mitos-project/mitos/internal/store"
 	"github.com/mitos-project/mitos/internal/val"
@@ -111,14 +110,7 @@ func (s VisitCountSpec) Script() string {
 
 // CompileMitos compiles the spec's script to SSA.
 func (s VisitCountSpec) CompileMitos() (*ir.Graph, error) {
-	prog, err := lang.Parse(s.Script())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := lang.Check(prog); err != nil {
-		return nil, err
-	}
-	return ir.CompileToSSA(prog)
+	return ir.CompileSource(s.Script())
 }
 
 // RunMitos executes the Visit Count task on the Mitos runtime.

@@ -79,20 +79,6 @@ type Config struct {
 	// DisableHoisting turns off loop-invariant hoisting (join build sides
 	// are rebuilt every iteration step).
 	DisableHoisting bool
-	// DisableCombiners turns off the map-side combiner plan rewrite
-	// (shuffles and gathers carry raw elements instead of per-instance
-	// partial aggregates).
-	DisableCombiners bool
-	// DisableChaining turns off operator chaining (forward edges at equal
-	// parallelism fused into single physical vertices); every element then
-	// crosses every edge through a mailbox batch again.
-	DisableChaining bool
-	// DisableTemplates turns off execution templates (the control plane then
-	// broadcasts one path update per basic-block visit and receives one
-	// completion event per operator instance, instead of cached per-block
-	// segment schedules with worker-side fan-out and aggregation). Only
-	// meaningful with pipelining on.
-	DisableTemplates bool
 	// DisableDelta turns off incremental maintenance of deltaMerge solution
 	// sets: every loop step then re-derives the full index from the
 	// retained entries before merging the step's delta, instead of touching
@@ -100,8 +86,6 @@ type Config struct {
 	// O(|solution set|) instead of O(|delta|). Programs without deltaMerge
 	// are unaffected.
 	DisableDelta bool
-	// BatchSize overrides the engine transfer batch size.
-	BatchSize int
 	// Observer, when non-nil, collects engine-wide metrics (and a
 	// timeline trace if created with NewTracingObserver, or bag lineage if
 	// created with NewLineageObserver) during Run. The metrics snapshot is
@@ -145,13 +129,12 @@ type Result struct {
 	BytesSent     int64
 	BytesReceived int64
 	// CombineIn and CombineOut count elements entering and leaving map-side
-	// combiners; their ratio is the local aggregation factor. Zero when
-	// DisableCombiners is set.
+	// combiners; their ratio is the local aggregation factor.
 	CombineIn  int64
 	CombineOut int64
 	// ChainedEdges counts dataflow edges fused by operator chaining and
 	// ElementsChained the elements that crossed them by direct call instead
-	// of a mailbox batch. Zero when DisableChaining is set.
+	// of a mailbox batch.
 	ChainedEdges    int
 	ElementsChained int64
 	// CtrlMessages and CtrlBytes count control-plane traffic: for Run,
@@ -162,8 +145,7 @@ type Result struct {
 	CtrlBytes    int64
 	// TemplateInstalls and TemplateInstantiations report the execution
 	// template cache: segments resolved and broadcast in full versus replays
-	// of a cached schedule. Zero when DisableTemplates (or
-	// DisablePipelining) is set.
+	// of a cached schedule. Zero when DisablePipelining is set.
 	TemplateInstalls       int
 	TemplateInstantiations int
 	// Delta-iteration counters, nonzero only for programs using deltaMerge:
@@ -248,12 +230,10 @@ func (p *Program) Dot(parallelism int) (string, error) {
 	if parallelism <= 0 {
 		parallelism = 4
 	}
-	plan, err := core.BuildPlan(p.ssa, parallelism)
+	plan, err := core.PlanFor(p.ssa, core.DefaultOptions(), parallelism)
 	if err != nil {
 		return "", err
 	}
-	plan.InsertCombiners()
-	plan.BuildChains()
 	return plan.Dot(), nil
 }
 
@@ -271,6 +251,15 @@ func (p *Program) Run(st Store, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer cl.Close()
+	return cfg.run(func(opts core.Options) (*core.Result, error) {
+		return core.Execute(p.ssa, st, cl, opts)
+	})
+}
+
+// run executes one job on either backend: it resolves the observer and
+// introspection server, maps cfg onto core options, runs exec, and builds
+// the public result from the counter record every backend reports.
+func (cfg Config) run(exec func(core.Options) (*core.Result, error)) (*Result, error) {
 	o, srv := cfg.Observer, cfg.HTTP
 	if srv != nil && o == nil {
 		o = srv.Observer()
@@ -279,24 +268,20 @@ func (p *Program) Run(st Store, cfg Config) (*Result, error) {
 		if o == nil {
 			o = NewLineageObserver()
 		}
+		var err error
 		srv, err = ServeIntrospection(cfg.HTTPAddr, o)
 		if err != nil {
 			return nil, err
 		}
 		defer srv.Close()
 	}
-	res, err := core.Execute(p.ssa, st, cl, core.Options{
-		Parallelism: cfg.Parallelism,
-		Pipelining:  !cfg.DisablePipelining,
-		Hoisting:    !cfg.DisableHoisting,
-		Combiners:   !cfg.DisableCombiners,
-		Chaining:    !cfg.DisableChaining,
-		Templates:   !cfg.DisableTemplates,
-		Delta:       !cfg.DisableDelta,
-		BatchSize:   cfg.BatchSize,
-		Obs:         o,
-		HTTP:        srv,
-	})
+	opts := core.DefaultOptions()
+	opts.Parallelism = cfg.Parallelism
+	opts.Pipelining = !cfg.DisablePipelining
+	opts.Hoisting = !cfg.DisableHoisting
+	opts.Delta = !cfg.DisableDelta
+	opts.Obs, opts.HTTP = o, srv
+	res, err := exec(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -397,67 +382,24 @@ func StartLocalTCP(n int, cfg TCPCoordConfig) (*TCPCoordinator, func(), error) {
 // observer traces or tracks lineage — /trace and /criticalpath span all
 // worker processes, re-based onto the coordinator's clock.
 func (p *Program) RunTCP(c *TCPCoordinator, st NamedStore, cfg Config) (*Result, error) {
-	o, srv := cfg.Observer, cfg.HTTP
-	if srv != nil && o == nil {
-		o = srv.Observer()
-	}
-	if srv == nil && cfg.HTTPAddr != "" {
-		if o == nil {
-			o = NewLineageObserver()
-		}
-		var err error
-		srv, err = ServeIntrospection(cfg.HTTPAddr, o)
+	var tcp *netcluster.Result
+	out, err := cfg.run(func(opts core.Options) (*core.Result, error) {
+		res, err := c.Run(p.Source(), st, opts)
 		if err != nil {
 			return nil, err
 		}
-		defer srv.Close()
-	}
-	res, err := c.Run(p.Source(), st, core.Options{
-		Parallelism: cfg.Parallelism,
-		Pipelining:  !cfg.DisablePipelining,
-		Hoisting:    !cfg.DisableHoisting,
-		Combiners:   !cfg.DisableCombiners,
-		Chaining:    !cfg.DisableChaining,
-		Templates:   !cfg.DisableTemplates,
-		Delta:       !cfg.DisableDelta,
-		BatchSize:   cfg.BatchSize,
-		Obs:         o,
-		HTTP:        srv,
+		tcp = res
+		return &res.Result, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Steps:                  res.Steps,
-		Duration:               res.Duration,
-		ElementsSent:           res.Job.ElementsSent,
-		RemoteBatches:          res.Job.RemoteBatches,
-		BytesSent:              res.Job.BytesSent,
-		BytesReceived:          res.Job.BytesReceived,
-		CombineIn:              res.CombineIn,
-		CombineOut:             res.CombineOut,
-		DeltaIn:                res.DeltaIn,
-		DeltaChanged:           res.DeltaChanged,
-		DeltaTouched:           res.DeltaTouched,
-		DeltaElements:          res.DeltaElements,
-		DeltaBytes:             res.DeltaBytes,
-		ElementsChained:        res.Job.ElementsChained,
-		CtrlMessages:           res.CtrlMessages,
-		CtrlBytes:              res.CtrlBytes,
-		TemplateInstalls:       res.TemplateInstalls,
-		TemplateInstantiations: res.TemplateInstantiations,
-		SocketBytes:            res.SocketBytes,
-		CreditStalls:           res.CreditStalls,
-		Attempts:               res.Attempts,
-		AttemptErrors:          res.AttemptErrors,
-		WorkerReports:          res.WorkerStats,
-	}
-	if cfg.Observer != nil {
-		out.Report = cfg.Observer.Snapshot()
-	}
-	if lin := o.Lin(); lin != nil {
-		out.CriticalPath = lineage.Analyze(lin.Snapshot())
-	}
+	// Control traffic is what crossed the coordinator links, not the
+	// workers' local control envelopes.
+	out.CtrlMessages, out.CtrlBytes = tcp.CtrlMessages, tcp.CtrlBytes
+	out.SocketBytes, out.CreditStalls = tcp.SocketBytes, tcp.CreditStalls
+	out.Attempts, out.AttemptErrors = tcp.Attempts, tcp.AttemptErrors
+	out.WorkerReports = tcp.WorkerStats
 	return out, nil
 }
 

@@ -69,39 +69,42 @@ func TestRunSequentialMatchesDistributed(t *testing.T) {
 	}
 }
 
-// TestDisableChaining checks the public chaining toggle: by default forward
-// edges fuse (ChainedEdges and ElementsChained nonzero), with
-// DisableChaining both stay zero, and the outputs agree either way.
-func TestDisableChaining(t *testing.T) {
+// TestRunTCPReportsPlanCounters runs the same program on both backends
+// through the public API: both chain by default, and the TCP result must
+// report the fused edges its coordinator planned, not only the elements
+// its workers pushed across them.
+func TestRunTCPReportsPlanCounters(t *testing.T) {
 	p, err := Compile(testScript)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(disable bool) (*Result, []Value) {
+	seed := func() NamedStore {
 		st := NewMemStore()
 		st.WriteDataset("in", []Value{Int(1), Int(2), Int(3)})
-		res, err := p.Run(st, Config{Machines: 2, DisableChaining: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := st.ReadDataset("out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, out
+		return st
 	}
-	chained, outOn := run(false)
-	unchained, outOff := run(true)
-	if chained.ChainedEdges == 0 || chained.ElementsChained == 0 {
-		t.Errorf("default run fused nothing: %d edges, %d elements",
-			chained.ChainedEdges, chained.ElementsChained)
+	sim, err := p.Run(seed(), Config{Machines: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if unchained.ChainedEdges != 0 || unchained.ElementsChained != 0 {
-		t.Errorf("DisableChaining run fused: %d edges, %d elements",
-			unchained.ChainedEdges, unchained.ElementsChained)
+	c, stop, err := StartLocalTCP(2, TCPCoordConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(outOn) != 1 || len(outOff) != 1 || !outOn[0].Equal(outOff[0]) {
-		t.Errorf("chained %v vs unchained %v", outOn, outOff)
+	defer stop()
+	tcp, err := p.RunTCP(c, seed(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.ChainedEdges == 0 || sim.ElementsChained == 0 {
+		t.Errorf("Run fused nothing: %d edges, %d elements", sim.ChainedEdges, sim.ElementsChained)
+	}
+	if tcp.ChainedEdges != sim.ChainedEdges || tcp.ElementsChained != sim.ElementsChained {
+		t.Errorf("RunTCP fused %d edges, %d elements; Run %d, %d",
+			tcp.ChainedEdges, tcp.ElementsChained, sim.ChainedEdges, sim.ElementsChained)
+	}
+	if tcp.Steps != sim.Steps {
+		t.Errorf("RunTCP took %d steps, Run %d", tcp.Steps, sim.Steps)
 	}
 }
 
