@@ -82,7 +82,8 @@ func Join(left, right []val.Value) ([]val.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		build.Update(k, func(old []val.Value, _ bool) []val.Value { return append(old, v) })
+		p, _ := build.Ref(k)
+		*p = append(*p, v)
 	}
 	var out []val.Value
 	for _, x := range right {
@@ -105,29 +106,37 @@ func Join(left, right []val.Value) ([]val.Value, error) {
 // with this specification.
 func ReduceByKey(in []val.Value, f *lang.UDF) ([]val.Value, error) {
 	groups := val.NewMap[val.Value](len(in) / 2)
-	var order []val.Value // keys in first-seen order, for determinism
 	for _, x := range in {
-		k, v, err := pairParts(x, "reduceByKey")
-		if err != nil {
+		if err := foldPair(groups, x, "reduceByKey", f); err != nil {
 			return nil, err
 		}
-		if old, ok := groups.Get(k); ok {
-			folded, err := f.Call(old, v)
-			if err != nil {
-				return nil, err
-			}
-			groups.Put(k, folded)
-		} else {
-			groups.Put(k, v)
-			order = append(order, k)
-		}
 	}
-	out := make([]val.Value, 0, len(order))
-	for _, k := range order {
-		v, _ := groups.Get(k)
+	out := make([]val.Value, 0, groups.Len())
+	groups.Range(func(k, v val.Value) bool { // first-seen key order
 		out = append(out, val.Pair(k, v))
-	}
+		return true
+	})
 	return out, nil
+}
+
+// foldPair folds one (key, value) pair into m: a new key takes v, a
+// present one f(old, v).
+func foldPair(m *val.Map[val.Value], x val.Value, op string, f *lang.UDF) error {
+	k, v, err := pairParts(x, op)
+	if err != nil {
+		return err
+	}
+	p, present := m.Ref(k)
+	if !present {
+		*p = v
+		return nil
+	}
+	y, err := f.Call(*p, v)
+	if err != nil {
+		return err
+	}
+	*p = y
+	return nil
 }
 
 // Reduce folds all elements with f into a singleton bag. The empty bag

@@ -11,8 +11,7 @@ import (
 // persistent across loop steps; the distributed engine partitions the same
 // state across instances (internal/core).
 type DeltaState struct {
-	idx    *val.Map[val.Value]
-	order  []val.Value // keys in first-insert order, for determinism
+	idx    *val.Map[val.Value] // ranges in first-insert key order
 	seeded bool
 }
 
@@ -29,19 +28,8 @@ func (s *DeltaState) Seeded() bool { return s.seeded }
 // emitted.
 func (s *DeltaState) Seed(seed []val.Value, f *lang.UDF) error {
 	for _, x := range seed {
-		k, v, err := pairParts(x, "deltaMerge")
-		if err != nil {
+		if err := foldPair(s.idx, x, "deltaMerge", f); err != nil {
 			return err
-		}
-		if old, ok := s.idx.Get(k); ok {
-			folded, err := f.Call(old, v)
-			if err != nil {
-				return err
-			}
-			s.idx.Put(k, folded)
-		} else {
-			s.idx.Put(k, v)
-			s.order = append(s.order, k)
 		}
 	}
 	s.seeded = true
@@ -55,41 +43,32 @@ func (s *DeltaState) Seed(seed []val.Value, f *lang.UDF) error {
 // is independent of element order and of how the delta is partitioned.
 func (s *DeltaState) Apply(delta []val.Value, f *lang.UDF) ([]val.Value, error) {
 	cand := val.NewMap[val.Value](len(delta))
-	var candOrder []val.Value
 	for _, x := range delta {
-		k, v, err := pairParts(x, "deltaMerge")
-		if err != nil {
+		if err := foldPair(cand, x, "deltaMerge", f); err != nil {
 			return nil, err
-		}
-		if old, ok := cand.Get(k); ok {
-			folded, err := f.Call(old, v)
-			if err != nil {
-				return nil, err
-			}
-			cand.Put(k, folded)
-		} else {
-			cand.Put(k, v)
-			candOrder = append(candOrder, k)
 		}
 	}
-	changed := make([]val.Value, 0, len(candOrder))
-	for _, k := range candOrder {
-		v, _ := cand.Get(k)
-		old, ok := s.idx.Get(k)
+	changed := make([]val.Value, 0, cand.Len())
+	var err error
+	cand.Range(func(k, v val.Value) bool {
+		p, ok := s.idx.Ref(k)
 		if !ok {
-			s.idx.Put(k, v)
-			s.order = append(s.order, k)
+			*p = v
 			changed = append(changed, val.Pair(k, v))
-			continue
+			return true
 		}
-		merged, err := f.Call(old, v)
-		if err != nil {
-			return nil, err
+		var merged val.Value
+		if merged, err = f.Call(*p, v); err != nil {
+			return false
 		}
-		if !merged.Equal(old) {
-			s.idx.Put(k, merged)
+		if !merged.Equal(*p) {
+			*p = merged
 			changed = append(changed, val.Pair(k, merged))
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return changed, nil
 }
@@ -97,10 +76,10 @@ func (s *DeltaState) Apply(delta []val.Value, f *lang.UDF) ([]val.Value, error) 
 // Solution returns the full solution set as (key, value) pairs, one per
 // key, in first-insert order.
 func (s *DeltaState) Solution() []val.Value {
-	out := make([]val.Value, 0, len(s.order))
-	for _, k := range s.order {
-		v, _ := s.idx.Get(k)
+	out := make([]val.Value, 0, s.idx.Len())
+	s.idx.Range(func(k, v val.Value) bool {
 		out = append(out, val.Pair(k, v))
-	}
+		return true
+	})
 	return out
 }

@@ -191,24 +191,9 @@ func (h *host) pumpPartial(run *outputRun) (bool, error) {
 func (h *host) pumpPartialReduceByKey(run *outputRun) (bool, error) {
 	elems := h.drainSlot(run, 0)
 	h.countCombineIn(int64(len(elems)))
-	var udfErr error
 	for _, x := range elems {
-		k, v, err := pairParts(x, h.op.Instr.Var)
-		if err != nil {
+		if err := h.foldInto(run.hash, x); err != nil {
 			return false, err
-		}
-		run.hash.Update(k, func(old val.Value, present bool) val.Value {
-			if !present {
-				return v
-			}
-			y, err := h.op.Instr.F.Call(old, v)
-			if err != nil && udfErr == nil {
-				udfErr = err
-			}
-			return y
-		})
-		if udfErr != nil {
-			return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, udfErr)
 		}
 	}
 	if !h.slotExhausted(run, 0) {
@@ -269,7 +254,7 @@ func (h *host) pumpPartialFold(run *outputRun) (bool, error) {
 			if !run.accSet {
 				run.acc, run.accSet = x, true
 			} else {
-				y, err := h.op.Instr.F.Call(run.acc, x)
+				y, err := h.call2(run.acc, x)
 				if err != nil {
 					return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 				}

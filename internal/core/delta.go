@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/mitos-project/mitos/internal/lang"
 	"github.com/mitos-project/mitos/internal/val"
 )
 
@@ -122,14 +121,14 @@ func (s *solutionStore) addReader() int {
 
 // apply merges one step into the state: the (already key-folded) seed is
 // ingested on the first step, then each folded delta candidate is merged
-// against the indexed value with f. It returns the (key, merged) pairs that
-// changed — the caller emits them AFTER this returns, outside the lock,
-// because emitting can block on backpressure while a solution reader holds
-// (or waits for) the lock. incremental=false is the -delta=off ablation: the
+// against the indexed value with merge (the host's UDF call). It returns
+// the (key, merged) pairs that changed — the caller emits them AFTER this
+// returns, outside the lock, because emitting can block on backpressure
+// while a solution reader holds (or waits for) the lock. incremental=false is the -delta=off ablation: the
 // whole index is rebuilt from scratch every step, modeling full
 // re-derivation, before the same merge runs — outputs are identical, only
 // the per-step cost changes from O(|delta|) to O(|solution|).
-func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], f *lang.UDF, incremental bool, in int64) ([]val.Value, DeltaStep, error) {
+func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], merge func(old, v val.Value) (val.Value, error), incremental bool, in int64) ([]val.Value, DeltaStep, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ents []undoEntry
@@ -161,9 +160,9 @@ func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], f *lang.U
 	var udfErr error
 	cand.Range(func(k, v val.Value) bool {
 		touched++
-		old, ok := s.idx.Get(k)
+		p, ok := s.idx.Ref(k)
 		if !ok {
-			s.idx.Put(k, v)
+			*p = v
 			s.bytes += int64(val.EncodedSize(k) + val.EncodedSize(v))
 			changed = append(changed, val.Pair(k, v))
 			if s.journal {
@@ -171,13 +170,14 @@ func (s *solutionStore) apply(pos int, seed, cand *val.Map[val.Value], f *lang.U
 			}
 			return true
 		}
-		merged, err := f.Call(old, v)
+		old := *p
+		merged, err := merge(old, v)
 		if err != nil {
 			udfErr = err
 			return false
 		}
 		if !merged.Equal(old) {
-			s.idx.Put(k, merged)
+			*p = merged
 			s.bytes += int64(val.EncodedSize(merged) - val.EncodedSize(old))
 			changed = append(changed, val.Pair(k, merged))
 			if s.journal {
@@ -342,38 +342,13 @@ func (rt *runtime) deltaSummary(c *Counters) []DeltaStep {
 // the seed slot entirely (its selected bag stays buffered; the low-water GC
 // retires it as the input position advances).
 func (h *host) beginDeltaMerge(run *outputRun) {
-	run.hash = val.NewMap[val.Value](16)
+	run.foldTable()
 	if h.state.isSeeded() {
 		run.slotDone[0] = true
 		h.seedStale = true
 	} else {
 		run.seedHash = val.NewMap[val.Value](16)
 	}
-}
-
-// foldInto folds streaming (key, value) pairs into a per-run table with the
-// operator's merge function — the same pre-aggregation shape as
-// reduceByKey, so a step's delta is merged in one index pass.
-func (h *host) foldInto(m *val.Map[val.Value], x val.Value) error {
-	k, v, err := pairParts(x, h.op.Instr.Var)
-	if err != nil {
-		return err
-	}
-	var udfErr error
-	m.Update(k, func(old val.Value, present bool) val.Value {
-		if !present {
-			return v
-		}
-		y, err := h.op.Instr.F.Call(old, v)
-		if err != nil && udfErr == nil {
-			udfErr = err
-		}
-		return y
-	})
-	if udfErr != nil {
-		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, udfErr)
-	}
-	return nil
 }
 
 // pumpDeltaMerge runs one step: fold the seed (first step only) and the
@@ -405,7 +380,7 @@ func (h *host) pumpDeltaMerge(run *outputRun) (bool, error) {
 	if !allDone(run) {
 		return false, nil
 	}
-	changed, step, err := h.state.apply(run.pos, run.seedHash, run.hash, h.op.Instr.F, h.rt.opts.Delta, run.count)
+	changed, step, err := h.state.apply(run.pos, run.seedHash, run.hash, h.call2, h.rt.opts.Delta, run.count)
 	if err != nil {
 		return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 	}

@@ -52,6 +52,11 @@ type host struct {
 
 	inbufs []inputBuf
 
+	// argBuf carries UDF arguments (call1/call2): passing a slice of a
+	// field of the heap-resident host, instead of a variadic argument list,
+	// keeps every per-element UDF call allocation-free.
+	argBuf [2]val.Value
+
 	// Loop-invariant hoisting: position of the input bag the cached join
 	// build state was built from (-1 when none), and the cached hash table.
 	cachedBuildPos int
@@ -534,21 +539,35 @@ func (h *host) finishOutput() error {
 	return nil
 }
 
-// releaseRun recycles a finished run's slice capacity for the next output
-// bag on this host. Everything else is zeroed: values and tables must not
-// leak between bags (h.cachedBuild keeps its own reference to a reused
-// join build table, so nilling run.build here is safe).
+// releaseRun recycles a finished run's slice capacity and its emptied fold
+// table for the next output bag on this host, so a loop refills one table
+// instead of growing a fresh one every step. Everything else is zeroed:
+// values and tables must not leak between bags (h.cachedBuild keeps its
+// own reference to a reused join build table, so nilling run.build here is
+// safe; the store's apply copied what it kept of the fold table).
 func (h *host) releaseRun(run *outputRun) {
 	for i := range run.args {
 		run.args[i] = val.Value{}
+	}
+	if run.hash != nil {
+		run.hash.Reset()
 	}
 	*run = outputRun{
 		inPos:    run.inPos[:0],
 		cursor:   run.cursor[:0],
 		slotDone: run.slotDone[:0],
 		args:     run.args[:0],
+		hash:     run.hash,
 	}
 	h.freeRun = run
+}
+
+// foldTable gives run an empty per-key fold table, reusing the one
+// releaseRun kept.
+func (run *outputRun) foldTable() {
+	if run.hash == nil {
+		run.hash = val.NewMap[val.Value](16)
+	}
 }
 
 // sizedInts returns s resized to n, zero-filled, reusing capacity.
@@ -585,6 +604,21 @@ func sizedVals(s []val.Value, n int) []val.Value {
 		s[i] = val.Value{}
 	}
 	return s
+}
+
+// call1 applies the operator's UDF to x through the host's argument
+// buffer. UDF.Call does not retain its argument slice (natives get their
+// own copy), so the buffer is reused by the next call.
+func (h *host) call1(x val.Value) (val.Value, error) {
+	h.argBuf[0] = x
+	return h.op.Instr.F.Call(h.argBuf[:1]...)
+}
+
+// call2 is call1 for the two-argument UDFs of reduce, reduceByKey and
+// deltaMerge.
+func (h *host) call2(a, b val.Value) (val.Value, error) {
+	h.argBuf[0], h.argBuf[1] = a, b
+	return h.op.Instr.F.Call(h.argBuf[:2]...)
 }
 
 // emit sends one element of the current output bag downstream.

@@ -15,7 +15,7 @@ import (
 func (h *host) beginKind(run *outputRun) error {
 	switch h.op.Synth {
 	case SynthCombineByKey:
-		run.hash = val.NewMap[val.Value](16)
+		run.foldTable()
 		return nil
 	case SynthLocalDistinct:
 		run.distinct = val.NewMap[struct{}](16)
@@ -38,7 +38,7 @@ func (h *host) beginKind(run *outputRun) error {
 			run.build = val.NewMap[[]val.Value](16)
 		}
 	case ir.OpReduceByKey:
-		run.hash = val.NewMap[val.Value](16)
+		run.foldTable()
 	case ir.OpDeltaMerge:
 		h.beginDeltaMerge(run)
 	case ir.OpDistinct:
@@ -139,13 +139,13 @@ func (h *host) emitTransformed(run *outputRun, x val.Value) error {
 	case ir.OpCopy, ir.OpPhi, ir.OpUnion:
 		h.emit(run, x)
 	case ir.OpMap:
-		y, err := h.op.Instr.F.Call(x)
+		y, err := h.call1(x)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
 		h.emit(run, y)
 	case ir.OpFlatMap:
-		y, err := h.op.Instr.F.Call(x)
+		y, err := h.call1(x)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
@@ -156,7 +156,7 @@ func (h *host) emitTransformed(run *outputRun, x val.Value) error {
 			h.emit(run, f)
 		}
 	case ir.OpFilter:
-		keep, err := h.op.Instr.F.Call(x)
+		keep, err := h.call1(x)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 		}
@@ -179,7 +179,8 @@ func (h *host) pumpJoin(run *outputRun) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			run.build.Update(k, func(old []val.Value, _ bool) []val.Value { return append(old, v) })
+			p, _ := run.build.Ref(k)
+			*p = append(*p, v)
 		}
 		if !h.slotExhausted(run, 0) {
 			return false, nil
@@ -236,24 +237,9 @@ func (h *host) pumpCross(run *outputRun) (bool, error) {
 }
 
 func (h *host) pumpReduceByKey(run *outputRun) (bool, error) {
-	var udfErr error
 	for _, x := range h.drainSlot(run, 0) {
-		k, v, err := pairParts(x, h.op.Instr.Var)
-		if err != nil {
+		if err := h.foldInto(run.hash, x); err != nil {
 			return false, err
-		}
-		run.hash.Update(k, func(old val.Value, present bool) val.Value {
-			if !present {
-				return v
-			}
-			y, err := h.op.Instr.F.Call(old, v)
-			if err != nil && udfErr == nil {
-				udfErr = err
-			}
-			return y
-		})
-		if udfErr != nil {
-			return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, udfErr)
 		}
 	}
 	if !h.slotExhausted(run, 0) {
@@ -267,6 +253,27 @@ func (h *host) pumpReduceByKey(run *outputRun) (bool, error) {
 	return true, nil
 }
 
+// foldInto folds one streaming (key, value) pair into a per-run table with
+// the operator's UDF: reduceByKey groups, its partial combiner, and the
+// deltaMerge seed and candidate folds all share this shape.
+func (h *host) foldInto(m *val.Map[val.Value], x val.Value) error {
+	k, v, err := pairParts(x, h.op.Instr.Var)
+	if err != nil {
+		return err
+	}
+	p, present := m.Ref(k)
+	if !present {
+		*p = v
+		return nil
+	}
+	y, err := h.call2(*p, v)
+	if err != nil {
+		return fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
+	}
+	*p = y
+	return nil
+}
+
 // pumpAggregate handles reduce, sum, count, and distinct. Distinct emits
 // streaming (first occurrence wins); the others emit on completion.
 func (h *host) pumpAggregate(run *outputRun) (bool, error) {
@@ -276,7 +283,7 @@ func (h *host) pumpAggregate(run *outputRun) (bool, error) {
 			if !run.accSet {
 				run.acc, run.accSet = x, true
 			} else {
-				y, err := h.op.Instr.F.Call(run.acc, x)
+				y, err := h.call2(run.acc, x)
 				if err != nil {
 					return false, fmt.Errorf("core: %s: %w", h.op.Instr.Var, err)
 				}

@@ -426,10 +426,9 @@ func (j *Job) DeliverData(h RemoteHeader, payload []byte, count int, ack func())
 		j.fail(err)
 		return err
 	}
-	buf := j.getBatch()
-	batch, err := decodeBatch(buf, payload, count)
+	batch, err := decodeBatch(j.getBatch(), payload, count)
 	if err != nil {
-		j.recycleBatch(buf)
+		j.recycleBatch(batch)
 		if ack != nil {
 			ack()
 		}
@@ -558,14 +557,15 @@ func (j *Job) getBatch() []Element {
 // recycleBatch clears a delivered batch and returns its buffer to the free
 // list. Undersized buffers (from historic or foreign allocations) are left
 // to the garbage collector so every pooled entry keeps full batch capacity.
+//
+// Only b[:len(b)] is cleared: a pooled buffer is all-zero beyond its
+// length (getBatch hands it out empty and every writer appends), so a
+// batch that carried one element costs one clear, not a full batch.
 func (j *Job) recycleBatch(b []Element) {
 	if cap(b) < j.batchSize {
 		return
 	}
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = Element{} // release value references while pooled
-	}
+	clear(b) // release value references while pooled
 	b = b[:0]
 	j.batchMu.Lock()
 	if len(j.freeBatches) < batchKeepMax {

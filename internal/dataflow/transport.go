@@ -236,24 +236,25 @@ func encodeBatch(dst []byte, batch []Element) []byte {
 }
 
 // decodeBatch appends exactly count elements decoded from buf to dst,
-// rejecting trailing garbage.
+// rejecting trailing garbage. On error the returned batch still holds the
+// elements decoded so far, so a caller can recycle it (see recycleBatch).
 func decodeBatch(dst []Element, buf []byte, count int) ([]Element, error) {
 	batch := dst
 	for i := 0; i < count; i++ {
 		tag, n := binary.Varint(buf)
 		if n <= 0 {
-			return nil, fmt.Errorf("bad tag varint for element %d", i)
+			return batch, fmt.Errorf("bad tag varint for element %d", i)
 		}
 		buf = buf[n:]
 		v, used, err := val.DecodeBinary(buf)
 		if err != nil {
-			return nil, fmt.Errorf("element %d: %w", i, err)
+			return batch, fmt.Errorf("element %d: %w", i, err)
 		}
 		buf = buf[used:]
 		batch = append(batch, Element{Tag: Tag(tag), Val: v})
 	}
 	if len(buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after %d elements", len(buf), count)
+		return batch, fmt.Errorf("%d trailing bytes after %d elements", len(buf), count)
 	}
 	return batch, nil
 }

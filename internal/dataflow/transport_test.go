@@ -369,6 +369,42 @@ func TestTransportDecouplesEmitFromNetDelay(t *testing.T) {
 	}
 }
 
+// TestRecycledBatchIsZeroBeyondLen pins the invariant recycleBatch relies
+// on to clear only b[:len(b)]: every buffer getBatch hands out is all-zero
+// up to its capacity, whether it last carried a full batch, one element,
+// or the partial result of a failed decode.
+func TestRecycledBatchIsZeroBeyondLen(t *testing.T) {
+	j := &Job{batchSize: 8}
+	take := func(step string) []Element {
+		t.Helper()
+		b := j.getBatch()
+		if len(b) != 0 || cap(b) < j.batchSize {
+			t.Fatalf("%s: took len %d cap %d, want empty with cap >= %d", step, len(b), cap(b), j.batchSize)
+		}
+		for i, e := range b[:cap(b)] {
+			if e.Tag != 0 || e.Val.IsValid() {
+				t.Fatalf("%s: pooled buffer holds (%d, %v) at %d", step, e.Tag, e.Val, i)
+			}
+		}
+		return b
+	}
+	fill := func(b []Element, n int) []Element {
+		for i := 0; i < n; i++ {
+			b = append(b, Element{Tag: Tag(i + 1), Val: val.Pair(val.Int(int64(i)), val.Str("v"))})
+		}
+		return b
+	}
+	j.recycleBatch(fill(take("first"), j.batchSize))
+	j.recycleBatch(fill(take("after full batch"), 1))
+	good := encodeBatch(nil, fill(nil, 3))
+	partial, err := decodeBatch(take("after one element"), append(good, 0xff), 5)
+	if err == nil || len(partial) != 3 {
+		t.Fatalf("decode of 3 good elements and garbage = %d elements, err %v", len(partial), err)
+	}
+	j.recycleBatch(partial)
+	take("after failed decode")
+}
+
 // TestEncodeDecodeBatch round-trips the wire format and rejects trailing
 // garbage and truncation.
 func TestEncodeDecodeBatch(t *testing.T) {

@@ -286,7 +286,8 @@ func (d *DataSet) Join(other *DataSet) *DataSet {
 				if err != nil {
 					return nil, err
 				}
-				build.Update(k, func(old []val.Value, _ bool) []val.Value { return append(old, v) })
+				p, _ := build.Ref(k)
+				*p = append(*p, v)
 			}
 			for _, x := range rp[i] {
 				k, v, err := pairParts(x)
@@ -326,7 +327,8 @@ func (d *DataSet) JoinStatic(static *DataSet) *DataSet {
 					if err != nil {
 						return nil, err
 					}
-					t.Update(k, func(old []val.Value, _ bool) []val.Value { return append(old, v) })
+					p, _ := t.Ref(k)
+					*p = append(*p, v)
 				}
 				tables[i] = t
 			}

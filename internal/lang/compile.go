@@ -241,18 +241,33 @@ func compileCall(e *Call, params []string) (compiledFn, error) {
 		fns[i] = f
 	}
 	pos := e.Pos
-	evalArgs := func(args []val.Value) ([]val.Value, error) {
-		out := make([]val.Value, len(fns))
-		for i, f := range fns {
-			v, err := f(args)
+	// unary and binary wrap a builtin shared with evalCall: evaluate the
+	// arguments, then apply it.
+	unary := func(op func(x val.Value) (val.Value, error)) compiledFn {
+		f := fns[0]
+		return func(args []val.Value) (val.Value, error) {
+			x, err := f(args)
 			if err != nil {
-				return nil, err
+				return val.Value{}, err
 			}
-			out[i] = v
+			return op(x)
 		}
-		return out, nil
 	}
-	switch e.Fn {
+	binary := func(op func(x, y val.Value) (val.Value, error)) compiledFn {
+		f, g := fns[0], fns[1]
+		return func(args []val.Value) (val.Value, error) {
+			x, err := f(args)
+			if err != nil {
+				return val.Value{}, err
+			}
+			y, err := g(args)
+			if err != nil {
+				return val.Value{}, err
+			}
+			return op(x, y)
+		}
+	}
+	switch fn := e.Fn; fn {
 	case "cond":
 		c, a, b := fns[0], fns[1], fns[2]
 		return func(args []val.Value) (val.Value, error) {
@@ -269,69 +284,17 @@ func compileCall(e *Call, params []string) (compiledFn, error) {
 			return b(args)
 		}, nil
 	case "abs":
-		f := fns[0]
-		return func(args []val.Value) (val.Value, error) {
-			v, err := f(args)
-			if err != nil {
-				return val.Value{}, err
-			}
-			switch v.Kind() {
-			case val.KindInt:
-				n := v.AsInt()
-				if n < 0 {
-					n = -n
-				}
-				return val.Int(n), nil
-			case val.KindFloat:
-				return val.Float(math.Abs(v.AsFloat())), nil
-			}
-			return val.Value{}, errf(pos, "abs on %s value", v.Kind())
-		}, nil
+		return unary(func(x val.Value) (val.Value, error) { return builtinAbs(pos, x) }), nil
 	case "str":
-		f := fns[0]
-		return func(args []val.Value) (val.Value, error) {
-			v, err := f(args)
-			if err != nil {
-				return val.Value{}, err
-			}
-			return val.Str(Render(v)), nil
-		}, nil
+		return unary(func(x val.Value) (val.Value, error) { return val.Str(Render(x)), nil }), nil
 	case "num":
-		f := fns[0]
-		return func(args []val.Value) (val.Value, error) {
-			v, err := f(args)
-			if err != nil {
-				return val.Value{}, err
-			}
-			return parseNum(pos, v)
-		}, nil
+		return unary(func(x val.Value) (val.Value, error) { return parseNum(pos, x) }), nil
 	case "len":
-		f := fns[0]
-		return func(args []val.Value) (val.Value, error) {
-			v, err := f(args)
-			if err != nil {
-				return val.Value{}, err
-			}
-			if v.Kind() != val.KindString {
-				return val.Value{}, errf(pos, "len on %s value", v.Kind())
-			}
-			return val.Int(int64(len(v.AsStr()))), nil
-		}, nil
-	case "min", "max", "fst", "snd":
-		// Rare in hot paths: delegate to the interpreter's builtin logic by
-		// rebuilding a Call with literal arguments.
-		fn := e.Fn
-		return func(args []val.Value) (val.Value, error) {
-			vs, err := evalArgs(args)
-			if err != nil {
-				return val.Value{}, err
-			}
-			lits := make([]Expr, len(vs))
-			for i, v := range vs {
-				lits[i] = &Lit{Pos: pos, V: v}
-			}
-			return evalCall(&Call{Pos: pos, Fn: fn, Args: lits}, nil)
-		}, nil
+		return unary(func(x val.Value) (val.Value, error) { return builtinLen(pos, x) }), nil
+	case "min", "max":
+		return binary(func(x, y val.Value) (val.Value, error) { return builtinMinMax(pos, fn, x, y) }), nil
+	case "fst", "snd":
+		return unary(func(x val.Value) (val.Value, error) { return builtinField(pos, fn, x) }), nil
 	default:
 		return nil, errf(pos, "%s cannot be compiled (bag operations are planned, not evaluated)", e.Fn)
 	}

@@ -24,7 +24,7 @@ func randomScalarExpr(r *rand.Rand, depth int) Expr {
 			return &Ident{Name: "p1"}
 		}
 	}
-	switch r.Intn(8) {
+	switch r.Intn(9) {
 	case 0:
 		return &Unary{Op: TokMinus, X: randomScalarExpr(r, depth-1)}
 	case 1:
@@ -42,6 +42,13 @@ func randomScalarExpr(r *rand.Rand, depth int) Expr {
 		return &Call{Fn: "max", Args: []Expr{randomScalarExpr(r, depth-1), randomScalarExpr(r, depth-1)}}
 	case 6:
 		return &Field{X: &TupleExpr{Elems: []Expr{randomScalarExpr(r, depth-1), randomScalarExpr(r, depth-1)}}, Index: r.Intn(2)}
+	case 7:
+		// fst/snd over a 1- or 2-tuple: snd of a 1-tuple is an error case.
+		elems := []Expr{randomScalarExpr(r, depth-1)}
+		if r.Intn(2) == 0 {
+			elems = append(elems, randomScalarExpr(r, depth-1))
+		}
+		return &Call{Fn: []string{"fst", "snd"}[r.Intn(2)], Args: []Expr{&TupleExpr{Elems: elems}}}
 	default:
 		return &Call{Fn: "str", Args: []Expr{randomScalarExpr(r, depth-1)}}
 	}
@@ -79,6 +86,54 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			var b strings.Builder
 			formatExpr(&b, e, 0)
 			t.Fatalf("trial %d: %s with %v: interp=%v compiled=%v", trial, b.String(), args, want, got)
+		}
+	}
+}
+
+// TestCompiledBuiltinsMatchInterpreter runs min, max, fst and snd over
+// every argument combination from a pool of all value kinds: the compiled
+// builtin must return the interpreter's value, or fail with the same
+// error text (mixed kinds, non-tuples, a 1-tuple for snd).
+func TestCompiledBuiltinsMatchInterpreter(t *testing.T) {
+	pool := []val.Value{
+		val.Int(-3), val.Int(7), val.Float(2.5), val.Float(7), val.Str("a"), val.Str("b"),
+		val.Bool(true), val.Tuple(), val.Tuple(val.Int(1)), val.Tuple(val.Str("k"), val.Int(2)),
+	}
+	params := []string{"p0", "p1"}
+	check := func(fn string, args ...val.Value) {
+		e := &Call{Fn: fn}
+		for i := range args {
+			e.Args = append(e.Args, &Ident{Name: params[i]})
+		}
+		compiled, err := compileExpr(e, params)
+		if err != nil {
+			t.Fatalf("compile %s: %v", fn, err)
+		}
+		env := func(name string) (val.Value, bool) {
+			for i, p := range params[:len(args)] {
+				if p == name {
+					return args[i], true
+				}
+			}
+			return val.Value{}, false
+		}
+		want, wantErr := EvalScalar(e, env)
+		got, gotErr := compiled(args)
+		switch {
+		case (wantErr == nil) != (gotErr == nil):
+			t.Errorf("%s%v: interp err %v, compiled err %v", fn, args, wantErr, gotErr)
+		case wantErr != nil && wantErr.Error() != gotErr.Error():
+			t.Errorf("%s%v: interp err %q, compiled err %q", fn, args, wantErr, gotErr)
+		case wantErr == nil && !got.Equal(want):
+			t.Errorf("%s%v: interp %v, compiled %v", fn, args, want, got)
+		}
+	}
+	for _, x := range pool {
+		check("fst", x)
+		check("snd", x)
+		for _, y := range pool {
+			check("min", x, y)
+			check("max", x, y)
 		}
 	}
 }
@@ -136,19 +191,87 @@ func TestUDFLabelTruncated(t *testing.T) {
 }
 
 func BenchmarkUDFCompiled(b *testing.B) {
-	p, err := Parse("y = b.map(x => (x.0, abs(x.1 - x.2) * 2 + 1))")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := p.Stmts[0].(*AssignStmt).RHS.(*Method)
-	u, err := MakeUDF(m.Args[0])
-	if err != nil {
-		b.Fatal(err)
-	}
+	u := lambdaUDF(b, "y = b.map(x => (x.0, abs(x.1 - x.2) * 2 + 1))")
 	arg := val.Tuple(val.Str("k"), val.Int(10), val.Int(25))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := u.Call(arg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// lambdaUDF compiles the lambda of a one-statement map/filter/reduce
+// script such as "y = b.map(x => x + 1)".
+func lambdaUDF(tb testing.TB, src string) *UDF {
+	tb.Helper()
+	p, err := Parse(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	u, err := MakeUDF(p.Stmts[0].(*AssignStmt).RHS.(*Method).Args[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return u
+}
+
+// TestUDFCallAllocs pins the per-element UDF paths of the operator hosts:
+// called through a reused argument buffer, a compiled builtin fold and a
+// field-compare filter allocate nothing.
+func TestUDFCallAllocs(t *testing.T) {
+	var buf [2]val.Value
+	minUDF := lambdaUDF(t, "y = b.reduce((a, b) => min(a, b))")
+	if n := testing.AllocsPerRun(1000, func() {
+		buf[0], buf[1] = val.Int(3), val.Int(-4)
+		if _, err := minUDF.Call(buf[:2]...); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("(a, b) => min(a, b): %v allocs per call, want 0", n)
+	}
+	filter := lambdaUDF(t, `y = b.filter(x => x.1 == "article")`)
+	arg := val.Tuple(val.Str("page7"), val.Str("article"))
+	if n := testing.AllocsPerRun(1000, func() {
+		buf[0] = arg
+		if _, err := filter.Call(buf[:1]...); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf(`x => x.1 == "article": %v allocs per call, want 0`, n)
+	}
+}
+
+// TestNativeGetsOwnArgs checks that a native may keep its argument slice:
+// Call hands it a copy, so reusing the caller's buffer cannot rewrite a
+// tuple the native built from it.
+func TestNativeGetsOwnArgs(t *testing.T) {
+	u, err := MakeUDF(Native("pair", 2, func(args []val.Value) val.Value { return val.Tuple(args...) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf [2]val.Value
+	buf[0], buf[1] = val.Int(1), val.Int(2)
+	first, _ := u.Call(buf[:]...)
+	buf[0], buf[1] = val.Int(3), val.Int(4)
+	if _, err := u.Call(buf[:]...); err != nil {
+		t.Fatal(err)
+	}
+	if want := val.Tuple(val.Int(1), val.Int(2)); !first.Equal(want) {
+		t.Errorf("first result = %v after buffer reuse, want %v", first, want)
+	}
+}
+
+// BenchmarkUDFCall2 is the deltaMerge/reduceByKey fold: a two-argument
+// compiled builtin called through a reused argument buffer.
+func BenchmarkUDFCall2(b *testing.B) {
+	u := lambdaUDF(b, "y = b.reduce((a, b) => min(a, b))")
+	var buf [2]val.Value
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf[0], buf[1] = val.Int(int64(i)), val.Int(42)
+		if _, err := u.Call(buf[:2]...); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -258,63 +258,83 @@ func evalCall(e *Call, env Env) (val.Value, error) {
 	}
 	switch e.Fn {
 	case "abs":
-		x := args[0]
-		switch x.Kind() {
-		case val.KindInt:
-			n := x.AsInt()
-			if n < 0 {
-				n = -n
-			}
-			return val.Int(n), nil
-		case val.KindFloat:
-			return val.Float(math.Abs(x.AsFloat())), nil
-		}
-		return val.Value{}, errf(e.Pos, "abs on %s value", x.Kind())
+		return builtinAbs(e.Pos, args[0])
 	case "str":
 		return val.Str(Render(args[0])), nil
 	case "num":
 		return parseNum(e.Pos, args[0])
 	case "len":
-		if args[0].Kind() != val.KindString {
-			return val.Value{}, errf(e.Pos, "len on %s value", args[0].Kind())
-		}
-		return val.Int(int64(len(args[0].AsStr()))), nil
+		return builtinLen(e.Pos, args[0])
 	case "min", "max":
-		x, y := args[0], args[1]
-		c := 0
-		switch {
-		case x.Kind() == val.KindString && y.Kind() == val.KindString:
-			c = strings.Compare(x.AsStr(), y.AsStr())
-		case isNumeric(x) && isNumeric(y):
-			switch {
-			case x.AsNumber() < y.AsNumber():
-				c = -1
-			case x.AsNumber() > y.AsNumber():
-				c = 1
-			}
-		default:
-			return val.Value{}, errf(e.Pos, "%s on %s and %s values", e.Fn, x.Kind(), y.Kind())
-		}
-		if (e.Fn == "min") == (c <= 0) {
-			return x, nil
-		}
-		return y, nil
+		return builtinMinMax(e.Pos, e.Fn, args[0], args[1])
 	case "fst", "snd":
-		x := args[0]
-		if x.Kind() != val.KindTuple {
-			return val.Value{}, errf(e.Pos, "%s on %s value", e.Fn, x.Kind())
-		}
-		idx := 0
-		if e.Fn == "snd" {
-			idx = 1
-		}
-		if x.Len() <= idx {
-			return val.Value{}, errf(e.Pos, "%s on %d-tuple", e.Fn, x.Len())
-		}
-		return x.Field(idx), nil
+		return builtinField(e.Pos, e.Fn, args[0])
 	default:
 		return val.Value{}, errf(e.Pos, "%s cannot be evaluated as a scalar (bag operations are compiled, not evaluated)", e.Fn)
 	}
+}
+
+// The scalar builtins. Each is shared by the AST interpreter (evalCall)
+// and compiled UDFs (compileCall), so its kind rules and error text live
+// in one place.
+
+func builtinAbs(pos Pos, x val.Value) (val.Value, error) {
+	switch x.Kind() {
+	case val.KindInt:
+		n := x.AsInt()
+		if n < 0 {
+			n = -n
+		}
+		return val.Int(n), nil
+	case val.KindFloat:
+		return val.Float(math.Abs(x.AsFloat())), nil
+	}
+	return val.Value{}, errf(pos, "abs on %s value", x.Kind())
+}
+
+func builtinLen(pos Pos, x val.Value) (val.Value, error) {
+	if x.Kind() != val.KindString {
+		return val.Value{}, errf(pos, "len on %s value", x.Kind())
+	}
+	return val.Int(int64(len(x.AsStr()))), nil
+}
+
+// builtinMinMax implements min and max (fn names which) over two strings
+// or two numbers; ties return x.
+func builtinMinMax(pos Pos, fn string, x, y val.Value) (val.Value, error) {
+	c := 0
+	switch {
+	case x.Kind() == val.KindString && y.Kind() == val.KindString:
+		c = strings.Compare(x.AsStr(), y.AsStr())
+	case isNumeric(x) && isNumeric(y):
+		switch {
+		case x.AsNumber() < y.AsNumber():
+			c = -1
+		case x.AsNumber() > y.AsNumber():
+			c = 1
+		}
+	default:
+		return val.Value{}, errf(pos, "%s on %s and %s values", fn, x.Kind(), y.Kind())
+	}
+	if (fn == "min") == (c <= 0) {
+		return x, nil
+	}
+	return y, nil
+}
+
+// builtinField implements fst and snd (fn names which).
+func builtinField(pos Pos, fn string, x val.Value) (val.Value, error) {
+	if x.Kind() != val.KindTuple {
+		return val.Value{}, errf(pos, "%s on %s value", fn, x.Kind())
+	}
+	idx := 0
+	if fn == "snd" {
+		idx = 1
+	}
+	if x.Len() <= idx {
+		return val.Value{}, errf(pos, "%s on %d-tuple", fn, x.Len())
+	}
+	return x.Field(idx), nil
 }
 
 func parseNum(pos Pos, x val.Value) (val.Value, error) {
@@ -381,12 +401,17 @@ func MakeUDF(e Expr) (*UDF, error) {
 func (u *UDF) Arity() int { return u.arity }
 
 // Call applies the UDF to args. The number of args must equal Arity.
+//
+// Call does not retain args, so a caller may pass a reused buffer (the
+// operator hosts do, to keep per-element calls allocation-free). Compiled
+// lambdas only read args during the call; a native may keep its slice (as
+// val.Tuple(args...) does), so it receives its own copy.
 func (u *UDF) Call(args ...val.Value) (val.Value, error) {
 	if len(args) != u.arity {
 		return val.Value{}, fmt.Errorf("lang: UDF %s called with %d args, takes %d", u.label, len(args), u.arity)
 	}
 	if u.native != nil {
-		return u.native(args), nil
+		return u.native(append([]val.Value(nil), args...)), nil
 	}
 	return u.compiled(args)
 }

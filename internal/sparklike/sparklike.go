@@ -302,7 +302,8 @@ func (r *RDD) Join(other *RDD) *RDD {
 						errs[i] = err
 						return
 					}
-					build.Update(k, func(old []val.Value, _ bool) []val.Value { return append(old, v) })
+					p, _ := build.Ref(k)
+					*p = append(*p, v)
 				}
 				for _, x := range rp[i] {
 					k, v, err := pairParts(x)

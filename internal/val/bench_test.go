@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The hot loop of every shuffle and combiner is Hash, Map.Update, and the
+// The hot loop of every shuffle and combiner is Hash, Map.Ref, and the
 // codec; these benchmarks guard their per-element cost and allocation
-// behavior (Hash and Update must be allocation-free, codec encode must be
+// behavior (Hash and Ref must be allocation-free, codec encode must be
 // amortized-free thanks to the scratch pool).
 
 func BenchmarkHash(b *testing.B) {
@@ -32,10 +32,10 @@ func BenchmarkHash(b *testing.B) {
 	}
 }
 
-// BenchmarkMapUpdate is the combiner inner loop: fold one element into the
+// BenchmarkMapRef is the combiner inner loop: fold one element into the
 // running per-key state. 64 keys keeps everything cache-resident, isolating
-// the hash+probe+closure cost.
-func BenchmarkMapUpdate(b *testing.B) {
+// the hash+probe cost.
+func BenchmarkMapRef(b *testing.B) {
 	keys := make([]Value, 64)
 	for i := range keys {
 		keys[i] = Str(fmt.Sprintf("page%d", i))
@@ -44,13 +44,12 @@ func BenchmarkMapUpdate(b *testing.B) {
 	b.ResetTimer()
 	m := NewMap[Value](len(keys))
 	for i := 0; i < b.N; i++ {
-		k := keys[i%len(keys)]
-		m.Update(k, func(old Value, present bool) Value {
-			if !present {
-				return Int(1)
-			}
-			return Int(old.AsInt() + 1)
-		})
+		p, present := m.Ref(keys[i%len(keys)])
+		if !present {
+			*p = Int(1)
+		} else {
+			*p = Int(p.AsInt() + 1)
+		}
 	}
 }
 

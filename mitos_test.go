@@ -1,6 +1,7 @@
 package mitos
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -318,5 +319,61 @@ newBag((sum, i)).writeFile("out")
 	// odd i in 1..9 summed = 25; loop exits with i = 11.
 	if len(out) != 1 || !out[0].Equal(Tuple(Int(25), Int(11))) {
 		t.Errorf("out = %v, want [(25, 11)]", out)
+	}
+}
+
+// TestNativeKeepingArgsMatchesSequential maps a native that keeps its
+// argument slice (val.Tuple(args...)) over more than a thousand elements.
+// Operator hosts call UDFs through a reused argument buffer, so the native
+// must get its own copy, or every tuple it built would change under it.
+// The simulated-cluster run must match RunSequential.
+func TestNativeKeepingArgsMatchesSequential(t *testing.T) {
+	b := NewBuilder()
+	b.Assign("data", ReadFile(StrLit("in")))
+	b.Assign("wrapped", MapBag(Var("data"), Native("wrap", 1, func(args []Value) Value { return Tuple(args...) })))
+	b.WriteFile(Var("wrapped"), StrLit("out"))
+	p, err := Build(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := func() NamedStore {
+		in := make([]Value, 1500)
+		for i := range in {
+			in[i] = Int(int64(i))
+		}
+		st := NewMemStore()
+		st.WriteDataset("in", in)
+		return st
+	}
+	sorted := func(st NamedStore) []string {
+		vs, _ := st.ReadDataset("out")
+		out := make([]string, len(vs))
+		for i, v := range vs {
+			out[i] = v.String()
+		}
+		sort.Strings(out)
+		return out
+	}
+	seq := seed()
+	if err := p.RunSequential(seq); err != nil {
+		t.Fatal(err)
+	}
+	dist := seed()
+	if _, err := p.Run(dist, Config{Machines: 3}); err != nil {
+		t.Fatal(err)
+	}
+	want, got := sorted(seq), sorted(dist)
+	if len(want) != 1500 || strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("distributed run (%d elements) differs from sequential (%d)", len(got), len(want))
+	}
+	// The TCP backend ships the program as source text, which a native
+	// has none of: RunTCP must refuse it rather than run something else.
+	c, stop, err := StartLocalTCP(2, TCPCoordConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if _, err := p.RunTCP(c, seed(), Config{}); err == nil {
+		t.Error("RunTCP ran a program with a native UDF")
 	}
 }
